@@ -1,14 +1,23 @@
-//! The TCP front door: a single-threaded, nonblocking accept/poll event
-//! loop that speaks [`EMWIRE1`](crate::protocol) and bridges onto the
-//! in-process [`Server`] front door.
+//! The TCP front door: a single-threaded, nonblocking, readiness-driven
+//! event loop that speaks [`EMWIRE1`](crate::protocol) and bridges onto
+//! the in-process [`Server`] front door.
 //!
 //! No async runtime: the loop multiplexes plain [`std::net`] sockets in
-//! nonblocking mode. Batch and step submissions go through
-//! [`Server::try_submit`] / [`TrackerSession::submit_step`]; their
-//! tickets park in per-connection tables and complete on a later loop
-//! pass. A ticket's `on_ready` callback pokes a wakeup channel — the
-//! loop's stand-in for a self-pipe — so responses flush promptly instead
-//! of waiting out the poll interval.
+//! nonblocking mode and sleeps in one platform wait. On Linux that wait
+//! is `epoll` with an `eventfd` waker: the listener and every connection
+//! are registered level-triggered, a connection asks for reads only while
+//! it may be read (not backpressured, not draining, no EOF seen) and for
+//! writes only while its outbox holds unflushed bytes, and the wait times
+//! out at the earliest idle-reap or drain deadline — so an idle door
+//! makes no passes at all. Other platforms nap 1 ms at a time on a
+//! wakeup channel instead. After every wait the loop accepts, then
+//! services every connection.
+//!
+//! Batch and step submissions go through [`Server::try_submit`] /
+//! [`TrackerSession::submit_step`]; their tickets park in per-connection
+//! tables and complete on a later loop pass. A ticket's `on_ready`
+//! callback pokes the waker, so a response is flushed as soon as it is
+//! ready.
 //!
 //! Robustness contract (exercised by the crate's tests):
 //!
@@ -19,6 +28,10 @@
 //!   tickets and sessions — the serving runtime completes the abandoned
 //!   responders through its `Terminated` path and the batcher never
 //!   wedges;
+//! * a client that half-closes (shuts down its write side after sending)
+//!   still gets every reply: the door stops reading at EOF but keeps the
+//!   connection until its tickets complete and its outbox flushes, a
+//!   write fails, or it idles out;
 //! * backpressure: a connection whose write backlog exceeds the
 //!   configured bound stops being read until the backlog drains, letting
 //!   TCP flow control push back on the client;
@@ -28,8 +41,9 @@
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+#[cfg(test)]
+use std::sync::atomic::AtomicU64;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -42,20 +56,22 @@ use crate::protocol::{
     status_of, FrameBuffer, Request, Response, WireError, WireExemplar, WireMap, WireMetrics,
     WireStage, WireStatus, WireTenantTrace, WireTrace, WireTraceEvent, MAX_FRAME_BYTES,
 };
+use crate::sys::{Interest, Poller, Waker};
 
 /// Tunables for the event loop. [`NetConfig::default`] is sized for
 /// tests and small fleets; production deployments mostly raise
-/// `idle_timeout`.
+/// `idle_timeout`. There is no poll interval: the loop sleeps until a
+/// socket is ready, a ticket completes or one of the deadlines below
+/// passes (see the [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// Largest record (length prefix excluded) the door will buffer;
     /// larger frames are skipped and answered with `BadFrame`.
     pub max_frame_bytes: usize,
-    /// How long the loop sleeps on the wakeup channel when idle.
-    pub poll_interval: Duration,
     /// Connections with no read/write progress for this long are
     /// dropped — covers both idle clients and slow readers sitting on a
-    /// full write backlog.
+    /// full write backlog. The loop wakes for the earliest such
+    /// deadline.
     pub idle_timeout: Duration,
     /// Soft bound on a connection's unflushed response bytes; past it
     /// the door stops reading from that connection until the backlog
@@ -70,7 +86,6 @@ impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
             max_frame_bytes: MAX_FRAME_BYTES,
-            poll_interval: Duration::from_millis(1),
             idle_timeout: Duration::from_secs(60),
             write_backlog_limit: 4 * 1024 * 1024,
             drain_timeout: Duration::from_secs(5),
@@ -78,19 +93,12 @@ impl Default for NetConfig {
     }
 }
 
-enum Wake {
-    /// A parked ticket became ready — sweep and flush.
-    Notify,
-    /// Shutdown was requested — enter the drain phase.
-    Shutdown,
-}
-
 /// A cheap handle for stopping a running [`NetServer`] from another
 /// thread.
 #[derive(Clone)]
 pub struct DoorHandle {
     stop: Arc<AtomicBool>,
-    wake: Sender<Wake>,
+    waker: Waker,
 }
 
 impl DoorHandle {
@@ -99,9 +107,7 @@ impl DoorHandle {
     /// returns from [`NetServer::run`].
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::Release);
-        // The loop may be asleep in `recv_timeout`; losing the race to a
-        // dropped receiver just means it already exited.
-        let _ = self.wake.send(Wake::Shutdown);
+        self.waker.wake();
     }
 }
 
@@ -122,6 +128,11 @@ struct Conn {
     next_session: u64,
     /// Last moment this connection made read or write progress.
     last_progress: Instant,
+    /// The peer shut down its write side: no more reads, but replies
+    /// still owed are delivered.
+    eof: bool,
+    /// What the poller currently reports for this connection.
+    interest: Interest,
 }
 
 impl Conn {
@@ -136,6 +147,8 @@ impl Conn {
             sessions: HashMap::new(),
             next_session: 1,
             last_progress: now,
+            eof: false,
+            interest: Interest::READ,
         }
     }
 
@@ -145,6 +158,12 @@ impl Conn {
 
     fn pending(&self) -> usize {
         self.batches.len() + self.steps.len()
+    }
+
+    /// Whether the next pass may read: not draining, no EOF seen and the
+    /// write backlog within its bound.
+    fn readable(&self, draining: bool, config: &NetConfig) -> bool {
+        !draining && !self.eof && self.backlog() <= config.write_backlog_limit
     }
 
     fn enqueue(&mut self, frame: Vec<u8>, metrics: &ServeMetrics) {
@@ -167,10 +186,12 @@ pub struct NetServer {
     server: Arc<Server>,
     config: NetConfig,
     stop: Arc<AtomicBool>,
-    wake_tx: Sender<Wake>,
-    wake_rx: Receiver<Wake>,
+    poller: Poller,
     /// Hydrated sessions waiting for a client to `Attach` by durable id.
     orphans: Arc<Mutex<HashMap<u64, TrackerSession>>>,
+    /// Loop passes made so far (wait returns), for the wake-up tests.
+    #[cfg(test)]
+    passes: Arc<AtomicU64>,
 }
 
 impl NetServer {
@@ -188,7 +209,8 @@ impl NetServer {
     ///
     /// # Errors
     ///
-    /// Propagates socket errors from binding.
+    /// Propagates socket errors from binding and from setting up the
+    /// readiness poller.
     pub fn bind_with(
         addr: impl ToSocketAddrs,
         server: Arc<Server>,
@@ -197,16 +219,17 @@ impl NetServer {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let (wake_tx, wake_rx) = mpsc::channel();
+        let poller = Poller::new(&listener)?;
         Ok(NetServer {
             listener,
             local_addr,
             server,
             config,
             stop: Arc::new(AtomicBool::new(false)),
-            wake_tx,
-            wake_rx,
+            poller,
             orphans: Arc::new(Mutex::new(HashMap::new())),
+            #[cfg(test)]
+            passes: Arc::new(AtomicU64::new(0)),
         })
     }
 
@@ -231,7 +254,7 @@ impl NetServer {
     pub fn handle(&self) -> DoorHandle {
         DoorHandle {
             stop: Arc::clone(&self.stop),
-            wake: self.wake_tx.clone(),
+            waker: self.poller.waker(),
         }
     }
 
@@ -244,36 +267,50 @@ impl NetServer {
             server,
             config,
             stop,
-            wake_tx,
-            wake_rx,
+            mut poller,
             orphans,
+            #[cfg(test)]
+            passes,
         } = self;
         let metrics = Arc::clone(server.metrics_hub());
+        let waker = poller.waker();
         let mut conns: HashMap<u64, Conn> = HashMap::new();
         let mut next_conn: u64 = 1;
         let mut drain_deadline: Option<Instant> = None;
+        // Set while accepting backs off after an accept error.
+        let mut accept_resume: Option<Instant> = None;
 
         loop {
-            // Sleep on the wakeup channel: a ready ticket (or shutdown)
-            // pokes it, otherwise the poll interval bounds the nap.
-            match wake_rx.recv_timeout(config.poll_interval) {
-                Ok(_) | Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => unreachable!("loop holds a sender"),
-            }
-            while wake_rx.try_recv().is_ok() {}
+            let door_deadline = drain_deadline.into_iter().chain(accept_resume).min();
+            poller.wait(next_deadline(
+                &conns,
+                &config,
+                door_deadline,
+                Instant::now(),
+            ));
+            #[cfg(test)]
+            passes.fetch_add(1, Ordering::Relaxed);
 
             let draining = stop.load(Ordering::Acquire);
             let now = Instant::now();
             if draining && drain_deadline.is_none() {
                 drain_deadline = Some(now + config.drain_timeout);
+                // Pending connections would keep a level-triggered
+                // listener ready forever.
+                let _ = poller.set_accepting(&listener, false);
             }
 
-            // Accept phase — skipped once draining.
-            if !draining {
+            // Accept phase — skipped once draining or while backing off.
+            if !draining && accept_resume.is_none_or(|at| now >= at) {
+                if accept_resume.take().is_some() {
+                    let _ = poller.set_accepting(&listener, true);
+                }
                 loop {
                     match listener.accept() {
                         Ok((stream, _peer)) => {
-                            if stream.set_nonblocking(true).is_err() {
+                            if stream.set_nonblocking(true).is_err()
+                                || poller.add(&stream, next_conn).is_err()
+                            {
                                 continue;
                             }
                             let _ = stream.set_nodelay(true);
@@ -282,18 +319,32 @@ impl NetServer {
                             next_conn += 1;
                         }
                         Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                        // Transient accept errors (aborted handshakes);
-                        // keep serving.
-                        Err(_) => break,
+                        // Out of descriptors or memory (or an aborted
+                        // handshake): the connection may stay queued and
+                        // keep the listener ready, so back off briefly
+                        // instead of spinning, and keep serving.
+                        Err(_) => {
+                            let _ = poller.set_accepting(&listener, false);
+                            accept_resume = Some(now + ACCEPT_BACKOFF);
+                            break;
+                        }
                     }
                 }
             }
 
             let mut dead: Vec<u64> = Vec::new();
             for (&id, conn) in conns.iter_mut() {
-                let alive = service_conn(
-                    conn, &server, &metrics, &wake_tx, &orphans, &config, draining, now,
+                let mut alive = service_conn(
+                    conn, &server, &metrics, &waker, &orphans, &config, draining, now,
                 );
+                let interest = Interest {
+                    read: conn.readable(draining, &config),
+                    write: conn.backlog() > 0,
+                };
+                if alive && interest != conn.interest {
+                    alive = poller.modify(&conn.stream, id, interest).is_ok();
+                    conn.interest = interest;
+                }
                 if !alive {
                     dead.push(id);
                 }
@@ -328,6 +379,26 @@ impl NetServer {
     }
 }
 
+/// How long accepting pauses after an accept error.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// How long the loop may sleep with nothing else happening: until a
+/// connection's idle-reap deadline or the door's own (drain or accept
+/// back-off) deadline. `None` when there is neither.
+fn next_deadline(
+    conns: &HashMap<u64, Conn>,
+    config: &NetConfig,
+    door_deadline: Option<Instant>,
+    now: Instant,
+) -> Option<Duration> {
+    conns
+        .values()
+        .filter_map(|conn| conn.last_progress.checked_add(config.idle_timeout))
+        .chain(door_deadline)
+        .min()
+        .map(|deadline| deadline.saturating_duration_since(now))
+}
+
 /// One service pass over a connection: read, decode, dispatch, complete
 /// ready tickets, flush, and judge liveness. Returns `false` when the
 /// connection should be reaped.
@@ -336,21 +407,22 @@ fn service_conn(
     conn: &mut Conn,
     server: &Arc<Server>,
     metrics: &Arc<ServeMetrics>,
-    wake: &Sender<Wake>,
+    waker: &Waker,
     orphans: &Mutex<HashMap<u64, TrackerSession>>,
     config: &NetConfig,
     draining: bool,
     now: Instant,
 ) -> bool {
     // Read phase — skipped while the write backlog is over the bound
-    // (backpressure) or the door is draining.
-    let mut peer_closed = false;
-    if !draining && conn.backlog() <= config.write_backlog_limit {
+    // (backpressure), the door is draining or the peer sent EOF.
+    if conn.readable(draining, config) {
         let mut chunk = [0u8; 16 * 1024];
         loop {
             match conn.stream.read(&mut chunk) {
                 Ok(0) => {
-                    peer_closed = true;
+                    // Half-close: the peer sends nothing more but may
+                    // still be reading its replies.
+                    conn.eof = true;
                     break;
                 }
                 Ok(n) => {
@@ -360,12 +432,14 @@ fn service_conn(
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    peer_closed = true;
-                    break;
-                }
+                // Reset or otherwise broken: nothing can be delivered.
+                Err(_) => return false,
             }
         }
+    } else if conn.eof && !matches!(conn.stream.take_error(), Ok(None)) {
+        // A half-closed peer that then reset the connection: replies can
+        // no longer be delivered, and a reset socket stays ready forever.
+        return false;
     }
 
     // Frame phase: pop complete records, dispatch each. Never panics on
@@ -376,7 +450,7 @@ fn service_conn(
                 metrics.record_wire_frame_in();
                 match Request::decode(&record) {
                     Ok((id, request)) => {
-                        dispatch(conn, server, metrics, wake, orphans, id, request)
+                        dispatch(conn, server, metrics, waker, orphans, id, request)
                     }
                     Err(failure) => {
                         record_wire_error(metrics, &failure.error);
@@ -461,23 +535,18 @@ fn service_conn(
         }
     }
 
-    // Write phase: flush as much of the outbox as the socket takes.
+    // Write phase: flush as much of the outbox as the socket takes. A
+    // failed write means the peer is gone and nothing more is deliverable.
     while conn.written < conn.outbox.len() {
         match conn.stream.write(&conn.outbox[conn.written..]) {
-            Ok(0) => {
-                peer_closed = true;
-                break;
-            }
+            Ok(0) => return false,
             Ok(n) => {
                 conn.written += n;
                 conn.last_progress = now;
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => {
-                peer_closed = true;
-                break;
-            }
+            Err(_) => return false,
         }
     }
     if conn.written == conn.outbox.len() && !conn.outbox.is_empty() {
@@ -485,16 +554,15 @@ fn service_conn(
         conn.written = 0;
     }
 
-    if peer_closed {
-        // Keep the connection only while unflushed responses might still
-        // be deliverable; a read-side EOF with nothing to say is final.
+    if conn.eof && conn.pending() == 0 && conn.backlog() == 0 {
+        // The peer is done sending and every reply it is owed went out.
         return false;
     }
     // Idle / slow-client reaping: no progress in either direction for
     // the whole timeout window. An unflushed backlog says the peer is
     // alive but not reading (slow client); an empty one says it simply
     // went quiet (idle).
-    if now.duration_since(conn.last_progress) > config.idle_timeout {
+    if now.duration_since(conn.last_progress) >= config.idle_timeout {
         let reason = if conn.backlog() > 0 {
             metrics.record_reap(ReapReason::SlowClient);
             "slow client"
@@ -527,7 +595,7 @@ fn dispatch(
     conn: &mut Conn,
     server: &Arc<Server>,
     metrics: &Arc<ServeMetrics>,
-    wake: &Sender<Wake>,
+    waker: &Waker,
     orphans: &Mutex<HashMap<u64, TrackerSession>>,
     id: u64,
     request: Request,
@@ -536,10 +604,8 @@ fn dispatch(
         Request::SubmitBatch { deployment, frames } => {
             match server.try_submit(ServeRequest::new(deployment, frames)) {
                 Ok(ticket) => {
-                    let tx = wake.clone();
-                    ticket.on_ready(move || {
-                        let _ = tx.send(Wake::Notify);
-                    });
+                    let waker = waker.clone();
+                    ticket.on_ready(move || waker.wake());
                     conn.batches.insert(id, ticket);
                 }
                 Err(e) => {
@@ -561,10 +627,8 @@ fn dispatch(
         Request::StepSession { session, readings } => match conn.sessions.get(&session) {
             Some(open) => match open.submit_step(&readings) {
                 Ok(ticket) => {
-                    let tx = wake.clone();
-                    ticket.on_ready(move || {
-                        let _ = tx.send(Wake::Notify);
-                    });
+                    let waker = waker.clone();
+                    ticket.on_ready(move || waker.wake());
                     conn.steps.insert(id, ticket);
                 }
                 Err(e) => {
@@ -816,4 +880,120 @@ fn record_wire_error(metrics: &ServeMetrics, error: &WireError) {
         WireError::UnknownKind { .. } => WireErrorKind::UnknownKind,
     };
     metrics.record_wire_error(kind);
+}
+
+#[cfg(all(test, target_os = "linux"))]
+mod tests {
+    use super::*;
+    use eigenmaps_core::prelude::*;
+    use eigenmaps_serve::{BatchPolicy, DeploymentRegistry};
+    use std::net::{Shutdown, TcpStream};
+
+    /// Runs a door on a helper thread; returns its address, shutdown
+    /// handle, loop-pass counter and join handle.
+    fn spawn(
+        server: Arc<Server>,
+    ) -> (
+        SocketAddr,
+        DoorHandle,
+        Arc<AtomicU64>,
+        std::thread::JoinHandle<()>,
+    ) {
+        let door = NetServer::bind("127.0.0.1:0", server).expect("bind loopback");
+        let passes = Arc::clone(&door.passes);
+        let (addr, handle) = (door.local_addr(), door.handle());
+        (addr, handle, passes, std::thread::spawn(move || door.run()))
+    }
+
+    #[test]
+    fn idle_connection_does_not_wake_the_loop() {
+        let server = Arc::new(Server::new(Arc::new(DeploymentRegistry::new()), 1));
+        let (addr, handle, passes, join) = spawn(Arc::clone(&server));
+
+        let client = TcpStream::connect(addr).expect("connect");
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.metrics().wire.connections_open == 0 {
+            assert!(Instant::now() < deadline, "connection never accepted");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let before = passes.load(Ordering::Relaxed);
+        std::thread::sleep(Duration::from_millis(200));
+        let idle_passes = passes.load(Ordering::Relaxed) - before;
+        // A 1 ms poll would make ~200 passes here; readiness makes none.
+        assert!(
+            idle_passes <= 5,
+            "{idle_passes} loop passes over 200 ms with one idle connection"
+        );
+
+        drop(client);
+        handle.shutdown();
+        join.join().expect("door loop");
+    }
+
+    #[test]
+    fn reset_after_half_close_is_reaped_without_spinning() {
+        let maps: Vec<ThermalMap> = (0..30)
+            .map(|t| {
+                let w = (t as f64 / 4.0).sin();
+                ThermalMap::from_fn(6, 6, |r, c| 40.0 + w * (r + 2 * c) as f64)
+            })
+            .collect();
+        let ensemble = MapEnsemble::from_maps(&maps).unwrap();
+        let deployment = Pipeline::new(&ensemble)
+            .basis(BasisSpec::EigenExact { k: 2 })
+            .sensors(4)
+            .design()
+            .unwrap();
+        let frame = deployment.sensors().sample(&ensemble.map(0));
+        let registry = Arc::new(DeploymentRegistry::new());
+        registry.publish("chip", deployment);
+        // Size-only: the parked request never flushes while the door runs.
+        let policy = BatchPolicy {
+            max_delay: Duration::MAX,
+            ..BatchPolicy::default()
+        };
+        let server = Arc::new(Server::with_policy(registry, 1, policy));
+        let (addr, handle, passes, join) = spawn(Arc::clone(&server));
+
+        let mut client = TcpStream::connect(addr).expect("connect");
+        let park = Request::SubmitBatch {
+            deployment: "chip".into(),
+            frames: vec![frame],
+        };
+        client.write_all(&park.encode(1).unwrap()).unwrap();
+        client
+            .write_all(&Request::Catalog.encode(2).unwrap())
+            .unwrap();
+        // Leave the catalog reply unread, half-close, then close: the
+        // unread bytes make the close a reset.
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        client.peek(&mut [0u8; 1]).expect("catalog reply arrives");
+        let woken = passes.load(Ordering::Relaxed);
+        client.shutdown(Shutdown::Write).unwrap();
+        // The EOF wakes the loop, which keeps the connection for its
+        // parked request.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while passes.load(Ordering::Relaxed) == woken {
+            assert!(Instant::now() < deadline, "EOF never woke the loop");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(client);
+
+        // Reaped promptly — not after the 60 s idle timeout — and the
+        // loop is quiet afterwards.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.metrics().wire.connections_open > 0 {
+            assert!(Instant::now() < deadline, "reset connection still open");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let before = passes.load(Ordering::Relaxed);
+        std::thread::sleep(Duration::from_millis(200));
+        let idle_passes = passes.load(Ordering::Relaxed) - before;
+        assert!(idle_passes <= 5, "{idle_passes} passes after the reap");
+
+        handle.shutdown();
+        join.join().expect("door loop");
+    }
 }

@@ -10,10 +10,10 @@
 //!   (batches, streaming sessions, snapshot/resume, catalog, publish,
 //!   metrics), built on the same little-endian codec as the workspace's
 //!   file formats. The module docs are the format specification.
-//! * [`door`] — [`NetServer`], a single-threaded nonblocking TCP
-//!   accept/poll event loop (plain [`std::net`], no async runtime) that
-//!   bridges wire requests onto [`eigenmaps_serve::Server`] and
-//!   completes parked tickets through a wakeup channel.
+//! * [`door`] — [`NetServer`], a single-threaded nonblocking TCP event
+//!   loop (plain [`std::net`], no async runtime; `epoll` on Linux) that
+//!   bridges wire requests onto [`eigenmaps_serve::Server`] and is woken
+//!   by socket readiness and by parked tickets completing.
 //! * [`client`] — [`Client`], a blocking request/response client with
 //!   typed helpers and retryability surfaced on errors.
 //!
@@ -44,12 +44,15 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-#![forbid(unsafe_code)]
+// The only unsafe code is the readiness poller's FFI in `sys`.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;
 pub mod door;
 pub mod protocol;
+#[allow(unsafe_code)]
+mod sys;
 
 pub use client::{BatchReply, Client, NetError, SessionInfo};
 pub use door::{DoorHandle, NetConfig, NetServer};

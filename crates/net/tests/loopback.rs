@@ -379,6 +379,63 @@ fn disconnect_with_inflight_responses_never_wedges_the_batcher() {
 }
 
 #[test]
+fn half_closed_client_still_gets_every_reply() {
+    let fleet = fleet();
+    let server = Arc::new(Server::new(Arc::clone(&fleet.registry), 2));
+    let (addr, handle, join) = spawn_door(Arc::clone(&server));
+
+    // Send three requests, then shut down the write side: the peer is
+    // done talking but still reading.
+    let mut raw = TcpStream::connect(addr).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    for id in 1..=3u64 {
+        let request = Request::SubmitBatch {
+            deployment: fleet.names[0].to_string(),
+            frames: vec![fleet.frames[0][id as usize].clone()],
+        };
+        raw.write_all(&request.encode(id).expect("encodes"))
+            .unwrap();
+    }
+    raw.shutdown(std::net::Shutdown::Write).unwrap();
+
+    // Every reply arrives, then the door closes its side.
+    let truth = fleet.deployments[0]
+        .reconstruct_batch(&fleet.frames[0])
+        .unwrap();
+    let mut frames = FrameBuffer::new(eigenmaps_net::MAX_FRAME_BYTES);
+    let mut chunk = [0u8; 4096];
+    loop {
+        let n = raw.read(&mut chunk).expect("read until the door closes");
+        if n == 0 {
+            break;
+        }
+        frames.extend(&chunk[..n]);
+    }
+    let mut replied = Vec::new();
+    while let Some(record) = frames.next_record() {
+        let (id, reply) = Response::decode(&record.expect("well-formed")).expect("decodes");
+        match reply {
+            Response::Batch { maps, .. } => {
+                let map = maps
+                    .into_iter()
+                    .next()
+                    .expect("one map")
+                    .into_map()
+                    .unwrap();
+                assert_bitwise(&map, &truth[id as usize], "half-close");
+            }
+            other => panic!("expected a batch reply, got {other:?}"),
+        }
+        replied.push(id);
+    }
+    replied.sort_unstable();
+    assert_eq!(replied, vec![1, 2, 3], "replies owed to a half-closed peer");
+
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+#[test]
 fn metrics_snapshot_travels_the_wire() {
     let fleet = fleet();
     let server = Arc::new(Server::new(Arc::clone(&fleet.registry), 1));

@@ -11,7 +11,9 @@
 //! budget or latency budget ([`BatchPolicy`]) fills — so interleaved
 //! multi-tenant traffic no longer degrades to one-request batches, and a
 //! hot swap mid-queue never mixes artifacts (the new version is simply a
-//! new tenant key).
+//! new tenant key). Coalescing is work-conserving: while a worker is
+//! idle, queued requests flush at once instead of waiting out the latency
+//! budget, so batches grow only under load.
 //!
 //! When several tenants are ready at once, flushes are decided round-robin
 //! (the scheduler's fairness rotation): a backlogged tenant's next batch
@@ -40,7 +42,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
@@ -1014,8 +1016,12 @@ impl Drop for Server {
 }
 
 /// The batcher thread: feeds arrivals into the pure [`Scheduler`] and
-/// executes its decisions in the scheduler's fairness order. Batch
-/// flushes run synchronously on the pool; session steps are dispatched
+/// executes its decisions in the scheduler's fairness order. Every
+/// message already queued is absorbed before a tick, so requests that
+/// arrived during a flush coalesce, and each tick is told the pool's idle
+/// capacity: workers minus the spawned jobs (steps, checkpoints) still
+/// queued or running. Batch flushes run synchronously on the pool (a
+/// one-shard flush on this thread); session steps are dispatched
 /// **fire-and-forget** ([`ShardedExecutor::spawn`]) so steps of different
 /// sessions run in parallel across the workers while the batcher keeps
 /// scheduling. Per-session ordering is preserved by an in-flight gate: a
@@ -1092,6 +1098,10 @@ fn batcher_loop(
     // it reuses the same Arc. A hot swap is a new TenantKey, so a stale
     // truncation can never serve a new version's traffic.
     let mut truncated: HashMap<(TenantKey, usize), Arc<Deployment>> = HashMap::new();
+    // Checkpoint jobs queued or running on the pool. With the steps in
+    // `inflight` they are the spawned work occupying workers at tick
+    // time; batch flushes are synchronous, so none is in flight then.
+    let checkpoints = Arc::new(AtomicUsize::new(0));
     'serve: loop {
         let sched_deadline = if scheduler.is_idle() {
             None
@@ -1109,7 +1119,7 @@ fn batcher_loop(
         };
         // With no hub installed this reproduces the original wait
         // exactly: idle or deadline-less → block on recv.
-        let arrival = match deadline {
+        let mut arrival = match deadline {
             None => match rx.recv() {
                 Ok(msg) => Some(msg),
                 Err(_) => break,
@@ -1127,50 +1137,55 @@ fn batcher_loop(
                 }
             }
         };
-        let now = epoch.elapsed();
-        match arrival {
-            Some(BatcherMsg::Request(request)) => {
-                // Anchor the latency budget at the client's submit time,
-                // not at batcher receipt: time spent waiting in the
-                // channel (e.g. behind a long executor run) counts toward
-                // `max_delay`, so an already-overdue request flushes on
-                // the very next tick.
-                let enqueued_at = request.enqueued.saturating_duration_since(epoch);
-                // The scheduler emits the ring event; the card only
-                // mirrors the stamp so the exemplar stays complete.
-                request.trace.note_at(Stage::Enqueued, enqueued_at);
-                scheduler.submit_traced(
-                    enqueued_at,
-                    request.key.clone(),
-                    request.frames.len(),
-                    request.trace.trace_ref(),
-                    Work::Request(request),
-                );
+        // Absorb everything already queued before ticking, so requests
+        // that arrived during the last flush coalesce into this tick.
+        while let Some(msg) = arrival {
+            match msg {
+                BatcherMsg::Request(request) => {
+                    // Anchor the latency budget at the client's submit
+                    // time, not at batcher receipt: time spent waiting in
+                    // the channel (e.g. behind a long executor run)
+                    // counts toward `max_delay`, so an already-overdue
+                    // request flushes on the very next tick.
+                    let enqueued_at = request.enqueued.saturating_duration_since(epoch);
+                    // The scheduler emits the ring event; the card only
+                    // mirrors the stamp so the exemplar stays complete.
+                    request.trace.note_at(Stage::Enqueued, enqueued_at);
+                    scheduler.submit_traced(
+                        enqueued_at,
+                        request.key.clone(),
+                        request.frames.len(),
+                        request.trace.trace_ref(),
+                        Work::Request(request),
+                    );
+                }
+                BatcherMsg::Step(step) => {
+                    admit_step(&mut scheduler, &inflight, &mut deferred, step);
+                }
+                BatcherMsg::StepDone(stream) => {
+                    step_done(&mut scheduler, &mut inflight, &mut deferred, stream);
+                }
+                BatcherMsg::Policy { name, policy } => {
+                    scheduler.set_tenant_policy(name, policy);
+                }
+                BatcherMsg::Brownout(policy) => {
+                    scheduler.set_brownout(policy);
+                    metrics.set_brownout(scheduler.in_brownout());
+                }
+                BatcherMsg::Durability(hub) => {
+                    // Arm at install so the first background checkpoint
+                    // waits a full cadence — hydration just read the
+                    // store, so there is nothing new to persist yet, and
+                    // tests driving checkpoints explicitly stay
+                    // deterministic.
+                    hub.arm(epoch.elapsed());
+                    durability = Some(hub);
+                }
+                BatcherMsg::Shutdown => break 'serve,
             }
-            Some(BatcherMsg::Step(step)) => {
-                admit_step(&mut scheduler, &inflight, &mut deferred, step);
-            }
-            Some(BatcherMsg::StepDone(stream)) => {
-                step_done(&mut scheduler, &mut inflight, &mut deferred, stream);
-            }
-            Some(BatcherMsg::Policy { name, policy }) => {
-                scheduler.set_tenant_policy(name, policy);
-            }
-            Some(BatcherMsg::Brownout(policy)) => {
-                scheduler.set_brownout(policy);
-                metrics.set_brownout(scheduler.in_brownout());
-            }
-            Some(BatcherMsg::Durability(hub)) => {
-                // Arm at install so the first background checkpoint
-                // waits a full cadence — hydration just read the store,
-                // so there is nothing new to persist yet, and tests
-                // driving checkpoints explicitly stay deterministic.
-                hub.arm(now);
-                durability = Some(hub);
-            }
-            Some(BatcherMsg::Shutdown) => break 'serve,
-            None => {}
+            arrival = rx.try_recv().ok();
         }
+        let now = epoch.elapsed();
         if let Some(hub) = &durability {
             if hub.due(now) {
                 // Re-arm first so a slow checkpoint cannot pile up wakes,
@@ -1178,14 +1193,19 @@ fn batcher_loop(
                 // never waits on fsync. Overlap collapses inside the hub.
                 hub.arm(now);
                 let job = Arc::clone(hub);
+                let occupied = Occupied::new(&checkpoints);
                 // A dead pool (shutdown race) just drops the job; the
                 // final checkpoint in `Server::drop` still runs inline.
                 let _ = executor.spawn(move |_| {
+                    let _occupied = occupied;
                     let _ = job.checkpoint_now();
                 });
             }
         }
-        let decisions = scheduler.tick(now);
+        // Work conservation: a worker with nothing to run makes every
+        // finite-delay tenant flush now instead of coalescing.
+        let spawned = inflight.len() + checkpoints.load(Ordering::Acquire);
+        let decisions = scheduler.tick(now, executor.shards().saturating_sub(spawned));
         // The tick is where brownout transitions happen; mirror the
         // scheduler's state into the gauge right after it.
         metrics.set_brownout(scheduler.in_brownout());
@@ -1299,6 +1319,23 @@ fn dispatch_step(
     // On a dead pool the rejected job (with the guard inside) is dropped:
     // the responder fires `Terminated`, a spurious `StepDone` goes to a
     // closed queue harmlessly, and no in-flight gate was set.
+}
+
+/// Counts one spawned job as occupying a worker until dropped: when the
+/// job finishes, unwinds, or is dropped unrun by a dead pool.
+struct Occupied(Arc<AtomicUsize>);
+
+impl Occupied {
+    fn new(count: &Arc<AtomicUsize>) -> Self {
+        count.fetch_add(1, Ordering::AcqRel);
+        Occupied(Arc::clone(count))
+    }
+}
+
+impl Drop for Occupied {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
 }
 
 /// Sends `StepDone` for its stream when dropped — on the worker's normal
@@ -1528,10 +1565,12 @@ mod tests {
     #[test]
     fn many_small_requests_coalesce_into_fewer_batches() {
         let (registry, _, frames) = fixture(40);
+        // Size-only: an idle worker would flush a finite-delay tenant at
+        // once, so only the request budget decides the batch boundaries.
         let policy = BatchPolicy {
             max_batch_frames: 64,
-            max_batch_requests: 64,
-            max_delay: Duration::from_millis(50),
+            max_batch_requests: 5,
+            max_delay: Duration::MAX,
             ..BatchPolicy::default()
         };
         let server = Server::with_policy(registry, 2, policy);
@@ -1566,6 +1605,28 @@ mod tests {
     }
 
     #[test]
+    fn idle_server_flushes_a_lone_request_without_waiting_out_max_delay() {
+        let (registry, _, frames) = fixture(3);
+        let policy = BatchPolicy {
+            max_delay: Duration::from_secs(60),
+            ..BatchPolicy::default()
+        };
+        let server = Server::with_policy(registry, 2, policy);
+        let started = Instant::now();
+        let maps = server.serve("chip", frames).unwrap();
+        assert_eq!(maps.len(), 3);
+        assert!(
+            started.elapsed() < Duration::from_secs(30),
+            "a lone request on an idle pool waited {:?}",
+            started.elapsed()
+        );
+        let snap = server.metrics();
+        assert_eq!(snap.batches, 1);
+        // Three frames over two shards: the flush ran on the workers.
+        assert_eq!(snap.shard_frames.iter().sum::<u64>(), 3);
+    }
+
+    #[test]
     fn unknown_deployment_rejected_at_submit() {
         let (registry, _, frames) = fixture(1);
         let server = Server::new(registry, 1);
@@ -1597,14 +1658,16 @@ mod tests {
     #[test]
     fn hot_swap_mid_queue_pins_versions() {
         let (registry, ens, frames) = fixture(6);
-        // A long flush delay so both requests sit in the same queue window.
+        // Size-only, under-budget: both requests stay queued until the
+        // shutdown drain, however idle the workers are.
         let policy = BatchPolicy {
             max_batch_frames: 1 << 20,
             max_batch_requests: 1 << 10,
-            max_delay: Duration::from_millis(40),
+            max_delay: Duration::MAX,
             ..BatchPolicy::default()
         };
         let server = Server::with_policy(Arc::clone(&registry), 2, policy);
+        let metrics = Arc::clone(server.metrics_hub());
         let before = server
             .submit(ServeRequest::new("chip", frames.clone()))
             .unwrap();
@@ -1629,11 +1692,12 @@ mod tests {
             .unwrap();
         assert_eq!(before.version(), 1);
         assert_eq!(after.version(), 2);
+        drop(server); // drain
         assert_eq!(before.wait().unwrap().len(), 6);
         assert_eq!(after.wait().unwrap().len(), 4);
         // The two versions are distinct tenants: they can never share a
         // batch, so at least two ran.
-        assert!(server.metrics().batches >= 2);
+        assert!(metrics.snapshot().batches >= 2);
     }
 
     #[test]
@@ -1669,7 +1733,7 @@ mod tests {
         let policy = BatchPolicy {
             max_batch_frames: 1 << 20,
             max_batch_requests: 1 << 10,
-            max_delay: Duration::from_secs(30), // would wait half a minute
+            max_delay: Duration::MAX, // size-only: would wait forever
             ..BatchPolicy::default()
         };
         let server = Server::with_policy(registry, 2, policy);
@@ -1730,12 +1794,12 @@ mod tests {
     #[test]
     fn try_submit_saturates_instead_of_queueing() {
         let (registry, _, frames) = fixture(4);
-        // Nothing ever flushes (huge budgets, long delay): the pending
+        // Nothing ever flushes (huge budgets, size-only): the pending
         // queue fills deterministically.
         let policy = BatchPolicy {
             max_batch_frames: 1 << 20,
             max_batch_requests: 1 << 10,
-            max_delay: Duration::from_secs(60),
+            max_delay: Duration::MAX,
             max_pending_per_tenant: 3,
             ..BatchPolicy::default()
         };
@@ -1769,8 +1833,8 @@ mod tests {
         use crate::scheduler::OverrunAction;
         let (registry, _, frames) = fixture(4);
         // A zero deadline is blown the instant the batcher sees the
-        // request, and nothing else can flush it first (huge budgets,
-        // long delay): the shed path is the only exit, deterministically.
+        // request, and shedding runs before any flush (idle or budget):
+        // the shed path is the only exit, deterministically.
         let policy = BatchPolicy {
             max_batch_frames: 1 << 20,
             max_batch_requests: 1 << 10,

@@ -15,7 +15,8 @@
 //! * [`Server`] / [`ServeRequest`] — the request front end: one pending
 //!   queue per pinned `(name, version)` tenant, coalesced by the pure
 //!   [`Scheduler`] state machine under per-tenant size/latency budgets
-//!   ([`BatchPolicy`]) with a fairness rotation across tenants, plus a
+//!   ([`BatchPolicy`]) while the workers are busy, flushed at once while
+//!   one is idle, with a fairness rotation across tenants, plus a
 //!   nonblocking door ([`Server::try_submit`], pollable [`Ticket`] with a
 //!   readiness callback) for event-loop transports;
 //! * [`Scheduler`] — the clock-injected coalesce/flush state machine

@@ -387,6 +387,9 @@ pub struct ServeMetrics {
     session_latency: LatencyHistogram,
     shard_frames: Vec<AtomicU64>,
     shard_batches: Vec<AtomicU64>,
+    /// One-shard plans run on the submitting thread instead of a worker.
+    inline_frames: AtomicU64,
+    inline_batches: AtomicU64,
     /// Lazily created per-tenant counters. The hot path takes the read
     /// lock and bumps relaxed atomics; the write lock is held only the
     /// first time a tenant name is seen.
@@ -414,6 +417,8 @@ impl ServeMetrics {
             session_latency: LatencyHistogram::new(),
             shard_frames: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             shard_batches: (0..shards).map(|_| AtomicU64::new(0)).collect(),
+            inline_frames: AtomicU64::new(0),
+            inline_batches: AtomicU64::new(0),
             tenants: RwLock::new(HashMap::new()),
             wire: WireCounters::default(),
         }
@@ -736,6 +741,15 @@ impl ServeMetrics {
         }
     }
 
+    /// Records `frames` frames executed as one shard on the submitting
+    /// thread rather than on a worker (a one-shard plan, see
+    /// [`ShardedExecutor::execute`](crate::ShardedExecutor::execute)).
+    pub(crate) fn record_inline(&self, frames: usize) {
+        self.inline_frames
+            .fetch_add(frames as u64, Ordering::Relaxed);
+        self.inline_batches.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// The latency histogram (e.g. for custom quantiles).
     pub fn latency(&self) -> &LatencyHistogram {
         &self.latency
@@ -772,6 +786,8 @@ impl ServeMetrics {
                 .iter()
                 .map(|c| c.load(Ordering::Relaxed))
                 .collect(),
+            inline_frames: self.inline_frames.load(Ordering::Relaxed),
+            inline_batches: self.inline_batches.load(Ordering::Relaxed),
             tenants: self
                 .tenants
                 .read()
@@ -994,6 +1010,11 @@ pub struct MetricsSnapshot {
     pub shard_frames: Vec<u64>,
     /// Shard batches executed per shard.
     pub shard_batches: Vec<u64>,
+    /// Frames executed on the submitting thread as one-shard plans; they
+    /// are not counted in `shard_frames`.
+    pub inline_frames: u64,
+    /// One-shard plans executed on the submitting thread.
+    pub inline_batches: u64,
     /// Per-tenant batching counters and queue-depth gauges, keyed by
     /// deployment name (sorted).
     pub tenants: BTreeMap<String, TenantSnapshot>,
@@ -1089,6 +1110,7 @@ mod tests {
         m.record_shard(0, 12);
         m.record_shard(1, 4);
         m.record_shard(9, 1); // out of range: ignored
+        m.record_inline(3);
         m.record_latency(Duration::from_micros(40));
         m.record_error();
         m.record_session_step("alpha");
@@ -1101,6 +1123,7 @@ mod tests {
         assert_eq!(s.tenants["alpha"].session_steps, 1);
         assert_eq!(s.shard_frames, vec![12, 4]);
         assert_eq!(s.shard_batches, vec![1, 1]);
+        assert_eq!((s.inline_frames, s.inline_batches), (3, 1));
         let util = s.shard_utilization();
         assert!((util[0] - 0.75).abs() < 1e-12);
         assert!((util.iter().sum::<f64>() - 1.0).abs() < 1e-12);

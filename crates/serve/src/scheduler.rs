@@ -51,6 +51,21 @@
 //! rotation reaches it, so contended throughput is proportional to weight
 //! while every other ready lane still gets its turn every pass.
 //!
+//! # Work conservation
+//!
+//! Coalescing trades latency for batch size, which only pays while the
+//! executor is busy. [`Scheduler::tick`] therefore takes the executor's
+//! idle capacity (workers with nothing to run) as an input: with any
+//! capacity, every queued tenant whose [`BatchPolicy::max_delay`] is
+//! finite flushes at once under [`FlushReason::Idle`] instead of waiting
+//! out its coalescing window — a worker is never left idle while work
+//! waits (the master-worker rule). With no capacity, tenants coalesce
+//! under their budgets exactly as described above, so batches grow with
+//! load. A size-only tenant (unrepresentable `max_delay`) never
+//! idle-flushes. The serving batcher executes batch flushes one at a time
+//! on the whole pool, so one idle worker is enough and a flush does not
+//! consume capacity within a tick.
+//!
 //! # Per-tenant policy overrides
 //!
 //! The global [`BatchPolicy`] can be overridden per deployment name with
@@ -98,18 +113,19 @@
 //! let mut sched: Scheduler<&'static str> = Scheduler::new(policy);
 //! let (a, b) = (TenantKey::new("alpha", 1), TenantKey::new("beta", 1));
 //!
-//! // Interleaved sub-budget traffic: nothing flushes yet.
+//! // Interleaved sub-budget traffic on a busy executor (no idle
+//! // capacity): nothing flushes yet.
 //! sched.submit(Duration::ZERO, a.clone(), 4, "a0");
 //! sched.submit(Duration::ZERO, b.clone(), 4, "b0");
 //! sched.submit(Duration::from_micros(10), a.clone(), 4, "a1");
-//! assert!(sched.tick(Duration::from_micros(10)).is_empty());
+//! assert!(sched.tick(Duration::from_micros(10), 0).is_empty());
 //!
 //! // A third request fills alpha's request budget: alpha flushes as one
 //! // three-request batch; beta keeps waiting on its own deadline. A
 //! // queued stream step is always ready and is granted in the same tick.
 //! sched.submit(Duration::from_micros(20), a.clone(), 4, "a2");
 //! sched.submit_stream(StreamId(9), "step0");
-//! let decisions = sched.tick(Duration::from_micros(20));
+//! let decisions = sched.tick(Duration::from_micros(20), 0);
 //! assert_eq!(decisions.len(), 2);
 //! let batch = decisions[0].as_batch().unwrap();
 //! assert_eq!(batch.tenant, a);
@@ -120,12 +136,17 @@
 //!
 //! // Beta's latency budget expires exactly at its deadline.
 //! assert_eq!(sched.next_deadline(), Some(Duration::from_millis(1)));
-//! assert!(sched.tick(Duration::from_micros(999)).is_empty());
-//! let expired = sched.tick(Duration::from_millis(1));
+//! assert!(sched.tick(Duration::from_micros(999), 0).is_empty());
+//! let expired = sched.tick(Duration::from_millis(1), 0);
 //! let batch = expired[0].as_batch().unwrap();
 //! assert_eq!(batch.reason, FlushReason::DeadlineExpired);
 //! assert_eq!(batch.jobs, vec!["b0"]);
 //! assert!(sched.is_idle());
+//!
+//! // Once a worker is idle, a lone request does not wait to coalesce.
+//! sched.submit(Duration::from_millis(2), a.clone(), 4, "a3");
+//! let now = sched.tick(Duration::from_millis(2), 1);
+//! assert_eq!(now[0].as_batch().unwrap().reason, FlushReason::Idle);
 //! ```
 //!
 //! [`Server`]: crate::Server
@@ -145,9 +166,11 @@ use crate::trace::{FlightRecorder, RejectReason, Stage, TraceRef};
 /// [`max_batch_requests`](BatchPolicy::max_batch_requests) requests, or
 /// when its own oldest request has waited
 /// [`max_delay`](BatchPolicy::max_delay) — other tenants' traffic never
-/// advances or postpones these budgets. A batch may exceed
-/// `max_batch_frames` by at most one request's frames (requests are
-/// atomic, never split across batches).
+/// advances or postpones these budgets. While the executor has an idle
+/// worker, a tenant with a finite `max_delay` flushes without waiting at
+/// all (see the [module docs](crate::scheduler#work-conservation)). A
+/// batch may exceed `max_batch_frames` by at most one request's frames
+/// (requests are atomic, never split across batches).
 ///
 /// ```
 /// use std::time::Duration;
@@ -161,11 +184,12 @@ use crate::trace::{FlightRecorder, RejectReason, Stage, TraceRef};
 /// let mut sched: Scheduler<u32> = Scheduler::new(policy);
 /// sched.submit(Duration::ZERO, TenantKey::new("a", 1), 5, 0);
 /// sched.submit(Duration::ZERO, TenantKey::new("b", 1), 5, 1);
-/// // Ten frames are pending overall, but neither tenant reached its own
-/// // 8-frame budget, so nothing flushes.
-/// assert!(sched.tick(Duration::ZERO).is_empty());
+/// // Ten frames are pending overall, but on a busy executor (no idle
+/// // capacity) neither tenant reached its own 8-frame budget, so nothing
+/// // flushes.
+/// assert!(sched.tick(Duration::ZERO, 0).is_empty());
 /// sched.submit(Duration::ZERO, TenantKey::new("a", 1), 3, 2);
-/// assert_eq!(sched.tick(Duration::ZERO).len(), 1); // only tenant a
+/// assert_eq!(sched.tick(Duration::ZERO, 0).len(), 1); // only tenant a
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
@@ -175,10 +199,13 @@ pub struct BatchPolicy {
     /// Flush a tenant once this many of its requests are pending.
     pub max_batch_requests: usize,
     /// Flush a tenant once its oldest pending request has waited this
-    /// long — the latency budget a small lone request pays at worst. An
+    /// long. This is the coalescing window, and it only applies under
+    /// load: while the executor has an idle worker the request flushes at
+    /// once ([`FlushReason::Idle`]), so `max_delay` bounds the extra wait
+    /// a request pays to coalesce when every worker is busy. An
     /// unrepresentable deadline (`enqueue + max_delay` overflows
-    /// `Duration`, e.g. [`Duration::MAX`]) disables the latency budget:
-    /// that tenant flushes by size only.
+    /// `Duration`, e.g. [`Duration::MAX`]) disables both the latency
+    /// budget and idle flushing: that tenant flushes by size only.
     pub max_delay: Duration,
     /// Admission-control bound used by [`Server::try_submit`]: the
     /// nonblocking front door reports saturation instead of queueing once
@@ -342,6 +369,9 @@ pub enum FlushReason {
     /// The tenant's oldest pending request waited
     /// [`BatchPolicy::max_delay`].
     DeadlineExpired,
+    /// The executor had an idle worker, so the tenant flushed without
+    /// waiting out its [`BatchPolicy::max_delay`] (work conservation).
+    Idle,
     /// The scheduler was drained (shutdown).
     Drain,
 }
@@ -644,9 +674,13 @@ impl<T> Scheduler<T> {
         self.streams.entry(stream).or_default().push_back(payload);
     }
 
-    /// Decides every unit of work due at time `now`, in fairness order:
-    /// the rotation is scanned in place, every granted lane (a flushed
-    /// tenant or a stepped stream) moves to the rotation's back, and the
+    /// Decides every unit of work due at time `now`, in fairness order,
+    /// given the executor's `idle` capacity (workers with nothing to run;
+    /// any nonzero value makes every tenant with a finite
+    /// [`BatchPolicy::max_delay`] ready under [`FlushReason::Idle`], see
+    /// the [module docs](self#work-conservation)). The rotation is
+    /// scanned in place, every granted lane (a flushed tenant or a
+    /// stepped stream) moves to the rotation's back, and the
     /// scan ends once a full rotation's worth of consecutive lanes was
     /// inspected without a grant — so a backlogged lane's next grant is
     /// decided only after every other ready lane got one. Batch and step
@@ -667,8 +701,10 @@ impl<T> Scheduler<T> {
     /// [`BatchPolicy::deadline`] is blown at `now` is popped into a
     /// [`Decision::Shed`] — a blown job is never served. Shedding fires
     /// at the exact deadline instant: a job enqueued at `t` with budget
-    /// `d` is shed by `tick(t + d)` and untouched by any earlier tick.
-    pub fn tick(&mut self, now: Duration) -> Vec<Decision<T>> {
+    /// `d` is shed by `tick(t + d, _)` and untouched by any earlier tick,
+    /// idle capacity or not.
+    pub fn tick(&mut self, now: Duration, idle: usize) -> Vec<Decision<T>> {
+        let idle = idle > 0;
         self.last_now = self.last_now.max(now);
         let mut decisions = Vec::new();
         self.judge_brownout();
@@ -687,7 +723,7 @@ impl<T> Scheduler<T> {
             // front instead of re-inspecting it — the documented order
             // visits every other lane before a granted lane's next turn.
             let granted = match &self.rotation[idx] {
-                LaneKey::Tenant(key) => match self.readiness(key, now) {
+                LaneKey::Tenant(key) => match self.readiness(key, now, idle) {
                     Some(reason) => {
                         let key = key.clone();
                         // Weighted grant: the tenant's policy buys it up to
@@ -697,7 +733,7 @@ impl<T> Scheduler<T> {
                         let weight = self.policy_for(&key).weight.max(1);
                         decisions.push(Decision::Batch(self.take_batch(&key, reason, now)));
                         for _ in 1..weight {
-                            match self.readiness(&key, now) {
+                            match self.readiness(&key, now, idle) {
                                 Some(reason) => {
                                     decisions
                                         .push(Decision::Batch(self.take_batch(&key, reason, now)));
@@ -896,8 +932,9 @@ impl<T> Scheduler<T> {
     }
 
     /// Which budget (if any) makes `key` flushable at `now`, under the
-    /// policy in force for that tenant.
-    fn readiness(&self, key: &TenantKey, now: Duration) -> Option<FlushReason> {
+    /// policy in force for that tenant; `idle` says the executor has an
+    /// idle worker.
+    fn readiness(&self, key: &TenantKey, now: Duration, idle: bool) -> Option<FlushReason> {
         let policy = self.policy_for(key);
         let queue = self.tenants.get(key)?;
         if queue.frames >= policy.max_batch_frames {
@@ -909,6 +946,7 @@ impl<T> Scheduler<T> {
         let oldest = queue.jobs.front()?;
         match oldest.enqueued_at.checked_add(policy.max_delay) {
             Some(deadline) if deadline <= now => Some(FlushReason::DeadlineExpired),
+            Some(_) if idle => Some(FlushReason::Idle),
             _ => None,
         }
     }
@@ -1037,7 +1075,7 @@ mod tests {
     fn frame_budget_beats_request_budget_in_reason() {
         let mut sched: Scheduler<u8> = Scheduler::new(policy(4, 1, 1000));
         sched.submit(Duration::ZERO, TenantKey::new("t", 1), 8, 0);
-        let d = sched.tick(Duration::ZERO);
+        let d = sched.tick(Duration::ZERO, 0);
         assert_eq!(d.len(), 1);
         let batch = d[0].as_batch().unwrap();
         assert_eq!(batch.reason, FlushReason::FrameBudget);
@@ -1052,7 +1090,7 @@ mod tests {
         for i in 0..4 {
             sched.submit(Duration::ZERO, key.clone(), 3, i);
         }
-        let d = sched.tick(Duration::ZERO);
+        let d = sched.tick(Duration::ZERO, 0);
         // 3+3+3 = 9 >= 8 flushes as one batch; the 4th job (3 frames,
         // below every budget) stays queued for its deadline.
         assert_eq!(d.len(), 1);
@@ -1106,7 +1144,7 @@ mod tests {
         assert_eq!(sched.pending_steps(), 3);
         assert!(!sched.is_idle());
         assert_eq!(sched.next_deadline(), None, "steps carry no deadline");
-        let d = sched.tick(Duration::ZERO);
+        let d = sched.tick(Duration::ZERO, 0);
         let steps: Vec<u8> = d.iter().map(|d| d.as_step().unwrap().job).collect();
         assert_eq!(steps, vec![0, 1, 2], "steps grant in FIFO order");
         assert!(sched.is_idle(), "tick drains every stream lane");
@@ -1128,7 +1166,7 @@ mod tests {
             sched.submit_stream(StreamId(2), ('y', i));
         }
         let lanes: Vec<String> = sched
-            .tick(Duration::ZERO)
+            .tick(Duration::ZERO, 0)
             .iter()
             .map(|d| match d {
                 Decision::Batch(b) => b.tenant.name.clone(),
@@ -1158,7 +1196,7 @@ mod tests {
         sched.submit(Duration::ZERO, b.clone(), 1, 1);
         // The premium tenant's deadline (100 µs) wins the global 1 ms.
         assert_eq!(sched.next_deadline(), Some(us(100)));
-        let d = sched.tick(Duration::ZERO);
+        let d = sched.tick(Duration::ZERO, 0);
         assert_eq!(d.len(), 1, "only premium is ready at one request");
         assert_eq!(d[0].as_batch().unwrap().tenant, p);
         assert_eq!(sched.tenant_depth(&b), 1);
@@ -1166,7 +1204,7 @@ mod tests {
         // Clearing the override restores the global budgets.
         sched.set_tenant_policy("premium", None);
         sched.submit(us(10), p.clone(), 1, 2);
-        assert!(sched.tick(us(10)).is_empty());
+        assert!(sched.tick(us(10), 0).is_empty());
         assert_eq!(sched.next_deadline(), Some(us(1000)), "global max_delay");
     }
 
@@ -1178,7 +1216,7 @@ mod tests {
         });
         sched.submit(Duration::from_secs(1), TenantKey::new("t", 1), 1, 0);
         assert_eq!(sched.next_deadline(), None);
-        assert!(sched.tick(Duration::from_secs(1 << 30)).is_empty());
+        assert!(sched.tick(Duration::from_secs(1 << 30), 0).is_empty());
         assert_eq!(sched.drain().len(), 1);
     }
 
@@ -1202,7 +1240,7 @@ mod tests {
             sched.submit(Duration::ZERO, l.clone(), 1, 10 + i);
         }
         let order: Vec<String> = sched
-            .tick(Duration::ZERO)
+            .tick(Duration::ZERO, 0)
             .iter()
             .map(|d| d.as_batch().unwrap().tenant.name.clone())
             .collect();
@@ -1223,7 +1261,7 @@ mod tests {
         let t = TenantKey::new("t", 1);
         sched.submit(Duration::ZERO, t.clone(), 1, 0);
         sched.submit(Duration::ZERO, t.clone(), 1, 1);
-        assert_eq!(sched.tick(Duration::ZERO).len(), 2);
+        assert_eq!(sched.tick(Duration::ZERO, 0).len(), 2);
         assert!(sched.is_idle());
     }
 
@@ -1239,7 +1277,7 @@ mod tests {
         for i in 0..5 {
             sched.submit(Duration::ZERO, t.clone(), 1, i);
         }
-        let d = sched.tick(Duration::ZERO);
+        let d = sched.tick(Duration::ZERO, 0);
         assert_eq!(d.len(), 2, "two full batches, fifth job under budget");
         assert_eq!(sched.tenant_depth(&t), 1);
     }
@@ -1258,10 +1296,10 @@ mod tests {
         // The shed instant is a wake-up deadline.
         assert_eq!(sched.next_deadline(), Some(us(500)));
         // One nanosecond early: untouched.
-        assert!(sched.tick(us(500) - Duration::from_nanos(1)).is_empty());
+        assert!(sched.tick(us(500) - Duration::from_nanos(1), 0).is_empty());
         assert_eq!(sched.tenant_depth(&t), 1);
         // Exactly at the instant: shed, never served.
-        let d = sched.tick(us(500));
+        let d = sched.tick(us(500), 0);
         assert_eq!(d.len(), 1);
         let shed = d[0].as_shed().unwrap();
         assert_eq!(shed.tenant, t);
@@ -1284,7 +1322,7 @@ mod tests {
         sched.submit(us(90), t.clone(), 1, 2);
         // At 160 µs the 0 µs and 50 µs arrivals have blown their 100 µs
         // budget; the 90 µs arrival (due at 190 µs) has not.
-        let d = sched.tick(us(160));
+        let d = sched.tick(us(160), 0);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].as_shed().unwrap().jobs, vec![0, 1]);
         assert_eq!(sched.tenant_depth(&t), 1, "in-budget job stays queued");
@@ -1302,7 +1340,7 @@ mod tests {
         sched.submit(Duration::ZERO, t.clone(), 2, 0);
         // Past both the flush delay and the request deadline: the job is
         // served (not shed), but degraded.
-        let d = sched.tick(us(300));
+        let d = sched.tick(us(300), 0);
         assert_eq!(d.len(), 1);
         let batch = d[0].as_batch().unwrap();
         assert_eq!(batch.reason, FlushReason::DeadlineExpired);
@@ -1325,24 +1363,24 @@ mod tests {
         for i in 0..3 {
             sched.submit(Duration::ZERO, t.clone(), 3, i);
         }
-        assert!(sched.tick(Duration::ZERO).is_empty());
+        assert!(sched.tick(Duration::ZERO, 0).is_empty());
         assert!(!sched.in_brownout());
         // A 4th submit crosses the 10-frame watermark AND the 4-request
         // budget: the flush this tick is degraded.
         sched.submit(Duration::ZERO, t.clone(), 3, 3);
-        let d = sched.tick(Duration::ZERO);
+        let d = sched.tick(Duration::ZERO, 0);
         assert!(sched.in_brownout());
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].as_batch().unwrap().degraded, Some(2));
         assert!(sched.is_idle());
         // Pending fell to 0 <= exit_below: the next tick exits brownout,
         // and a fresh sub-watermark burst is served exact again.
-        assert!(sched.tick(us(5)).is_empty());
+        assert!(sched.tick(us(5), 0).is_empty());
         assert!(!sched.in_brownout());
         for i in 0..4 {
             sched.submit(us(10), t.clone(), 1, 10 + i);
         }
-        let d = sched.tick(us(10));
+        let d = sched.tick(us(10), 0);
         assert!(!sched.in_brownout());
         assert_eq!(d[0].as_batch().unwrap().degraded, None);
     }
@@ -1357,11 +1395,11 @@ mod tests {
         let t = TenantKey::new("bulk", 1);
         // 5 frames sits inside the band: out stays out.
         sched.submit(Duration::ZERO, t.clone(), 5, 0);
-        sched.tick(Duration::ZERO);
+        sched.tick(Duration::ZERO, 0);
         assert!(!sched.in_brownout());
         // Cross the high watermark: in.
         sched.submit(Duration::ZERO, t.clone(), 6, 1);
-        sched.tick(Duration::ZERO);
+        sched.tick(Duration::ZERO, 0);
         assert!(sched.in_brownout());
         // Back inside the band (5 frames after a drain to below 10 but
         // above 2): in stays in — no flapping.
@@ -1371,7 +1409,7 @@ mod tests {
             exit_below: 2,
         }));
         sched2.submit(Duration::ZERO, t.clone(), 11, 0);
-        sched2.tick(Duration::ZERO);
+        sched2.tick(Duration::ZERO, 0);
         assert!(sched2.in_brownout());
         // Disabling exits immediately.
         sched.set_brownout(None);
@@ -1396,7 +1434,7 @@ mod tests {
             sched.submit(Duration::ZERO, deep.clone(), 1, 10 + i);
         }
         let order: Vec<String> = sched
-            .tick(Duration::ZERO)
+            .tick(Duration::ZERO, 0)
             .iter()
             .map(|d| d.as_batch().unwrap().tenant.name.clone())
             .collect();
@@ -1407,7 +1445,7 @@ mod tests {
         sched.submit(Duration::ZERO, deep.clone(), 1, 20);
         sched.set_tenant_policy("idle", Some(policy(1 << 20, 1, 1_000_000)));
         let order: Vec<String> = sched
-            .tick(Duration::ZERO)
+            .tick(Duration::ZERO, 0)
             .iter()
             .map(|d| d.as_batch().unwrap().tenant.name.clone())
             .collect();

@@ -23,6 +23,11 @@
 //! ([`Deployment::set_kernel`]) set before publishing is what every
 //! worker executes.
 //!
+//! A plan with a single shard (one frame, or a one-worker pool) runs on
+//! the calling thread instead: handing it to a worker would only park
+//! the caller on that worker's reply. It reuses a per-thread scratch and
+//! is booked in the metrics as an inline batch, not against any worker.
+//!
 //! Shard boundaries come from [`eigenmaps_core::shard_spans`]; because the
 //! batch path is bitwise-identical to per-frame reconstruction *under the
 //! deployment's kernel backend* (the kernel's position-independence
@@ -31,6 +36,7 @@
 //! output **bitwise** — parallelism is free of numerical drift by
 //! construction, for every backend, and the integration tests assert it.
 
+use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -42,6 +48,12 @@ use eigenmaps_core::{
 
 use crate::error::{Result, ServeError};
 use crate::metrics::ServeMetrics;
+
+thread_local! {
+    /// Scratch for one-shard plans run on the calling thread, reused
+    /// across every such plan the thread executes.
+    static CALLER_SCRATCH: RefCell<BatchScratch> = RefCell::new(BatchScratch::new());
+}
 
 /// One shard of one batch, dispatched to whichever worker is idle.
 struct ShardTask {
@@ -122,7 +134,8 @@ impl ShardedExecutor {
     ///
     /// The frames are shared with the workers via `Arc` (no copying); the
     /// batch is split into at most [`ShardedExecutor::shards`] contiguous
-    /// spans and reassembled in span order.
+    /// spans and reassembled in span order. A single-span plan runs on
+    /// the calling thread, with the same arithmetic a worker would use.
     ///
     /// # Errors
     ///
@@ -150,6 +163,13 @@ impl ShardedExecutor {
         }
 
         let spans = shard_spans(frames.len(), self.shards);
+        if spans.len() == 1 {
+            let outcome = CALLER_SCRATCH.with(|scratch| {
+                deployment.reconstruct_batch_with(frames, &mut scratch.borrow_mut())
+            });
+            self.metrics.record_inline(frames.len());
+            return outcome.map_err(ServeError::Core);
+        }
         let (reply, results) = mpsc::channel();
         for (slot, span) in spans.iter().cloned().enumerate() {
             let task = Task::Shard(ShardTask {
@@ -352,6 +372,26 @@ mod tests {
         assert_eq!(ex.shards(), 1);
         let (d, frames) = deployment_and_frames(7);
         assert_eq!(ex.execute(&d, &frames).unwrap().len(), 7);
+    }
+
+    #[test]
+    fn one_shard_plans_run_inline_bitwise_and_are_booked_as_inline() {
+        let ex = ShardedExecutor::new(2);
+        let (d, frames) = deployment_and_frames(5);
+        let sequential = d.reconstruct_batch(&frames).unwrap();
+        for (t, readings) in frames.iter().enumerate() {
+            let maps = ex.execute(&d, &Arc::new(vec![readings.clone()])).unwrap();
+            assert_eq!(maps[0].as_slice(), sequential[t].as_slice(), "frame {t}");
+        }
+        // Multi-shard plans still go to the workers.
+        let pooled = ex.execute(&d, &frames).unwrap();
+        for (a, b) in sequential.iter().zip(&pooled) {
+            assert_eq!(a.as_slice(), b.as_slice());
+        }
+        let snap = ex.metrics().snapshot();
+        assert_eq!((snap.inline_frames, snap.inline_batches), (5, 5));
+        assert_eq!(snap.shard_frames.iter().sum::<u64>(), 5);
+        assert_eq!(snap.shard_batches.iter().sum::<u64>(), 2);
     }
 
     #[test]

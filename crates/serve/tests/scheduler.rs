@@ -9,7 +9,10 @@
 //! baseline on the same two-tenant interleaved trace, version pinning
 //! across a mid-queue hot swap, and the QoS tiers: exact-instant
 //! deadline shedding for `Shed` tenants next to brownout-degraded
-//! serving for `Degrade` tenants, on the same clock.
+//! serving for `Degrade` tenants, on the same clock. Work conservation
+//! has its own group: with idle executor capacity a lone request flushes
+//! at its submit tick, without capacity it waits exactly its coalescing
+//! window, size-only tenants never idle-flush, and shedding still wins.
 
 use std::time::Duration;
 
@@ -41,11 +44,11 @@ fn latency_budget_expiry_flushes_sub_size_batch_exactly_at_deadline() {
     assert_eq!(sched.next_deadline(), Some(us(1040)));
 
     // One nanosecond before the deadline: nothing flushes.
-    assert!(sched.tick(us(1040) - Duration::from_nanos(1)).is_empty());
+    assert!(sched.tick(us(1040) - Duration::from_nanos(1), 0).is_empty());
     assert_eq!(sched.pending_requests(), 1);
 
     // Exactly at the deadline: the sub-size batch flushes.
-    let decisions = sched.tick(us(1040));
+    let decisions = sched.tick(us(1040), 0);
     assert_eq!(decisions.len(), 1);
     let flush = decisions[0].as_batch().unwrap();
     assert_eq!(flush.tenant, key);
@@ -84,7 +87,7 @@ fn fairness_no_tenant_starved_across_10k_interleaved_submits() {
         submitted[tenant] += 1;
         enqueue_time[tenant].push(now);
         sched.submit(now, keys[tenant].clone(), 1, (tenant, seq));
-        for d in sched.tick(now) {
+        for d in sched.tick(now, 0) {
             decisions.push((now, d.into_batch().unwrap()));
         }
     }
@@ -92,7 +95,7 @@ fn fairness_no_tenant_starved_across_10k_interleaved_submits() {
     // queue has hit its own deadline.
     let mut now = us(SUBMITS as u64 * STEP_US);
     while !sched.is_idle() {
-        for d in sched.tick(now) {
+        for d in sched.tick(now, 0) {
             decisions.push((now, d.into_batch().unwrap()));
         }
         now += us(STEP_US);
@@ -132,7 +135,7 @@ fn stale_enqueue_stamp_flushes_on_the_next_tick() {
     // latency budget already expired in the channel flushes immediately.
     let mut sched: Scheduler<u32> = Scheduler::new(policy(256, 64, Duration::from_millis(1)));
     sched.submit(us(0), TenantKey::new("late", 1), 1, 0);
-    let decisions = sched.tick(us(5_000)); // read 5 ms late
+    let decisions = sched.tick(us(5_000), 0); // read 5 ms late
     assert_eq!(decisions.len(), 1);
     assert_eq!(
         decisions[0].as_batch().unwrap().reason,
@@ -162,7 +165,7 @@ fn rotation_round_robins_ready_tenants_within_one_tick() {
         sched.submit(Duration::ZERO, a.clone(), 1, i);
     }
     let order: Vec<String> = sched
-        .tick(Duration::ZERO)
+        .tick(Duration::ZERO, 0)
         .iter()
         .map(|d| d.as_batch().unwrap().tenant.name.clone())
         .collect();
@@ -209,7 +212,8 @@ fn fifo_baseline_batches(trace: &[(TenantKey, Duration, usize)], policy: &BatchP
 fn batch_size_recovers_at_least_2x_over_fifo_on_interleaved_trace() {
     // Two tenants, strictly alternating single-frame requests every
     // 50 µs — the traffic shape that degraded the FIFO batcher to
-    // one-request batches.
+    // one-request batches. Every tick passes zero idle capacity: the
+    // executor is saturated, which is when coalescing must pay.
     const SUBMITS: usize = 2_000;
     const STEP_US: u64 = 50;
     let policy = policy(1 << 20, 16, Duration::from_millis(2));
@@ -223,14 +227,14 @@ fn batch_size_recovers_at_least_2x_over_fifo_on_interleaved_trace() {
     let mut jobs_flushed = 0usize;
     for (i, (tenant, at, frames)) in trace.iter().enumerate() {
         sched.submit(*at, tenant.clone(), *frames, i);
-        for d in sched.tick(*at) {
+        for d in sched.tick(*at, 0) {
             batches += 1;
             jobs_flushed += d.as_batch().unwrap().jobs.len();
         }
     }
     let mut now = us(SUBMITS as u64 * STEP_US);
     while !sched.is_idle() {
-        for d in sched.tick(now) {
+        for d in sched.tick(now, 0) {
             batches += 1;
             jobs_flushed += d.as_batch().unwrap().jobs.len();
         }
@@ -275,7 +279,7 @@ fn hot_swap_mid_queue_keeps_version_pinned_queues_separate() {
     assert_eq!(sched.tenant_depth(&v2), 3);
 
     // v1's deadline (oldest at t=0) expires first.
-    let first = sched.tick(us(1000));
+    let first = sched.tick(us(1000), 0);
     assert_eq!(first.len(), 1);
     let flush = first[0].as_batch().unwrap();
     assert_eq!(flush.tenant, v1);
@@ -284,7 +288,7 @@ fn hot_swap_mid_queue_keeps_version_pinned_queues_separate() {
     assert_eq!(sched.tenant_depth(&v2), 3);
 
     // v2 flushes at its own deadline, never mixed with v1.
-    let second = sched.tick(us(1030));
+    let second = sched.tick(us(1030), 0);
     assert_eq!(second.len(), 1);
     let flush = second[0].as_batch().unwrap();
     assert_eq!(flush.tenant, v2);
@@ -310,7 +314,7 @@ fn stream_backlog_never_delays_batch_deadlines() {
     for i in 0..200u32 {
         let now = us(u64::from(i) * STEP_US);
         sched.submit_stream(stream, ('s', i));
-        for d in sched.tick(now) {
+        for d in sched.tick(now, 0) {
             match d {
                 Decision::Batch(b) => {
                     assert_eq!(b.tenant, tenant);
@@ -353,7 +357,7 @@ fn batch_backlog_never_starves_stream_steps() {
     for i in 0..8u32 {
         let now = us(u64::from(i) * 10);
         sched.submit_stream(stream, ('s', i));
-        let decisions = sched.tick(now);
+        let decisions = sched.tick(now, 0);
         let step_positions: Vec<usize> = decisions
             .iter()
             .enumerate()
@@ -397,7 +401,7 @@ fn weighted_tenant_gets_proportional_grants_without_starvation() {
 
     // One tick drains all ready work; the weight governs the interleaving.
     let grants: Vec<bool> = sched
-        .tick(Duration::ZERO)
+        .tick(Duration::ZERO, 0)
         .iter()
         .map(|d| d.as_batch().expect("batch traffic only").tenant == heavy)
         .collect();
@@ -479,19 +483,19 @@ fn qos_tiers_shed_and_degrade_on_one_mock_clock() {
     // Light load below the watermark: nothing sheds, nothing degrades.
     sched.submit(us(0), premium.clone(), 1, 0);
     sched.submit(us(0), bulk.clone(), 1, 100);
-    assert!(sched.tick(us(0)).is_empty());
+    assert!(sched.tick(us(0), 0).is_empty());
     assert!(!sched.in_brownout());
     // The shed instant is a wakeup deadline in its own right — tighter
     // than either tenant's 1 ms coalescing budget.
     assert_eq!(sched.next_deadline(), Some(us(100)));
 
     // One nanosecond shy of the premium deadline: both jobs untouched.
-    assert!(sched.tick(us(100) - Duration::from_nanos(1)).is_empty());
+    assert!(sched.tick(us(100) - Duration::from_nanos(1), 0).is_empty());
     assert_eq!(sched.pending_requests(), 2);
 
     // Exactly at the deadline instant premium sheds. Bulk never sheds:
     // its job stays queued for its own flush budget.
-    let decisions = sched.tick(us(100));
+    let decisions = sched.tick(us(100), 0);
     assert_eq!(decisions.len(), 1);
     let shed = decisions[0].as_shed().unwrap();
     assert_eq!(shed.tenant, premium);
@@ -502,7 +506,7 @@ fn qos_tiers_shed_and_degrade_on_one_mock_clock() {
     // Bulk's coalescing budget expires at 1 ms. Its deadline blew 900 µs
     // ago, so the flush carries the degrade marker even though the
     // scheduler never entered brownout: coarse on time, not exact late.
-    let decisions = sched.tick(us(1_000));
+    let decisions = sched.tick(us(1_000), 0);
     assert_eq!(decisions.len(), 1);
     let flush = decisions[0].as_batch().unwrap();
     assert_eq!(flush.tenant, bulk);
@@ -517,7 +521,7 @@ fn qos_tiers_shed_and_degrade_on_one_mock_clock() {
     for i in 0..8u32 {
         sched.submit(us(2_000), bulk.clone(), 1, 200 + i);
     }
-    let decisions = sched.tick(us(2_000));
+    let decisions = sched.tick(us(2_000), 0);
     assert!(sched.in_brownout());
     assert_eq!(decisions.len(), 2);
     for d in &decisions {
@@ -530,7 +534,7 @@ fn qos_tiers_shed_and_degrade_on_one_mock_clock() {
 
     // Brownout is judged once per tick: the drain above leaves pending
     // at 0 (<= exit_below), so the *next* tick exits the mode.
-    assert!(sched.tick(us(2_001)).is_empty());
+    assert!(sched.tick(us(2_001), 0).is_empty());
     assert!(!sched.in_brownout());
 }
 
@@ -551,7 +555,7 @@ fn recorder_sees_the_exact_event_sequence_for_one_coalesced_batch() {
     sched.submit_traced(us(20), key.clone(), 2, second, 2);
 
     // Two requests fill the batch; the tick coalesces them into one.
-    let decisions = sched.tick(us(30));
+    let decisions = sched.tick(us(30), 0);
     assert_eq!(decisions.len(), 1);
     let flush = decisions[0].as_batch().unwrap();
     assert_eq!(flush.jobs, vec![1, 2]);
@@ -582,4 +586,104 @@ fn recorder_sees_the_exact_event_sequence_for_one_coalesced_batch() {
     assert_eq!(sched.drain().len(), 1);
     assert_eq!(recorder.written(), 4);
     assert_eq!(recorder.dropped(), 0);
+}
+
+#[test]
+fn idle_capacity_flushes_a_lone_request_at_its_submit_tick() {
+    let mut sched: Scheduler<u32> = Scheduler::new(policy(256, 64, Duration::from_millis(2)));
+    let key = TenantKey::new("lone", 1);
+    sched.submit(us(40), key.clone(), 1, 7);
+    let decisions = sched.tick(us(40), 1);
+    assert_eq!(decisions.len(), 1);
+    let flush = decisions[0].as_batch().unwrap();
+    assert_eq!(flush.tenant, key);
+    assert_eq!(flush.reason, FlushReason::Idle);
+    assert_eq!(flush.jobs, vec![7]);
+    assert!(sched.is_idle());
+}
+
+#[test]
+fn without_capacity_a_lone_request_waits_exactly_max_delay() {
+    let delay = Duration::from_millis(2);
+    let mut sched: Scheduler<u32> = Scheduler::new(policy(256, 64, delay));
+    sched.submit(us(40), TenantKey::new("lone", 1), 1, 7);
+    assert!(sched.tick(us(40), 0).is_empty());
+    assert!(sched
+        .tick(us(40) + delay - Duration::from_nanos(1), 0)
+        .is_empty());
+    assert_eq!(sched.next_deadline(), Some(us(40) + delay));
+    let decisions = sched.tick(us(40) + delay, 0);
+    assert_eq!(decisions.len(), 1);
+    assert_eq!(
+        decisions[0].as_batch().unwrap().reason,
+        FlushReason::DeadlineExpired
+    );
+    assert!(sched.is_idle());
+}
+
+#[test]
+fn capacity_arriving_mid_window_flushes_the_queue_at_once() {
+    // Queued on a busy executor; the first tick that sees a free worker
+    // flushes, long before the coalescing deadline, and takes the whole
+    // budget-capped queue in one batch.
+    let mut sched: Scheduler<u32> = Scheduler::new(policy(256, 64, Duration::from_millis(2)));
+    let key = TenantKey::new("t", 1);
+    for i in 0..3 {
+        sched.submit(us(10 * u64::from(i)), key.clone(), 1, i);
+    }
+    assert!(sched.tick(us(30), 0).is_empty());
+    let decisions = sched.tick(us(50), 2);
+    assert_eq!(decisions.len(), 1);
+    let flush = decisions[0].as_batch().unwrap();
+    assert_eq!(flush.reason, FlushReason::Idle);
+    assert_eq!(flush.jobs, vec![0, 1, 2]);
+}
+
+#[test]
+fn size_only_tenant_never_idle_flushes() {
+    let mut sched: Scheduler<u32> = Scheduler::new(policy(4, 64, Duration::MAX));
+    let key = TenantKey::new("bulk", 1);
+    // Submitted after the epoch, so `enqueue + Duration::MAX` overflows.
+    sched.submit(us(1), key.clone(), 1, 0);
+    for at in [us(1), us(2), Duration::from_secs(1 << 30)] {
+        assert!(sched.tick(at, 8).is_empty(), "idle-flushed at {at:?}");
+    }
+    assert_eq!(sched.next_deadline(), None);
+    // Its size budget still flushes it, under the size reason.
+    sched.submit(us(2), key.clone(), 3, 1);
+    let decisions = sched.tick(us(2), 8);
+    assert_eq!(decisions.len(), 1);
+    assert_eq!(
+        decisions[0].as_batch().unwrap().reason,
+        FlushReason::FrameBudget
+    );
+    // Next to it, a finite-delay tenant is idle-flushed on the same tick.
+    sched.submit(us(3), key.clone(), 1, 2);
+    sched.submit(us(3), TenantKey::new("live", 1), 1, 3);
+    sched.set_tenant_policy("live", Some(policy(4, 64, Duration::from_millis(2))));
+    let decisions = sched.tick(us(3), 1);
+    assert_eq!(decisions.len(), 1);
+    let flush = decisions[0].as_batch().unwrap();
+    assert_eq!(flush.tenant.name, "live");
+    assert_eq!(flush.reason, FlushReason::Idle);
+    assert_eq!(sched.tenant_depth(&key), 1);
+}
+
+#[test]
+fn zero_deadline_shed_job_is_shed_not_idle_flushed() {
+    // Shedding runs before the fairness scan, so an idle executor never
+    // serves a job whose deadline has already blown.
+    let mut sched: Scheduler<u32> = Scheduler::new(BatchPolicy {
+        deadline: Some(Duration::ZERO),
+        overrun: OverrunAction::Shed,
+        ..policy(256, 64, Duration::from_millis(2))
+    });
+    let key = TenantKey::new("ctl", 1);
+    sched.submit(us(40), key.clone(), 2, 9);
+    let decisions = sched.tick(us(40), 4);
+    assert_eq!(decisions.len(), 1);
+    let shed = decisions[0].as_shed().expect("shed, not flushed");
+    assert_eq!(shed.tenant, key);
+    assert_eq!(shed.jobs, vec![9]);
+    assert!(sched.is_idle());
 }

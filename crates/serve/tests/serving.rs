@@ -126,7 +126,12 @@ fn full_stack_registry_server_roundtrip() {
     assert_eq!(snapshot.frames, 200);
     assert!(snapshot.batches >= 1);
     assert_eq!(snapshot.errors, 0);
-    assert_eq!(snapshot.shard_frames.iter().sum::<u64>(), 200);
+    // Every frame ran exactly once: on a worker shard, or on the batcher
+    // thread when its flush was a one-shard plan.
+    assert_eq!(
+        snapshot.shard_frames.iter().sum::<u64>() + snapshot.inline_frames,
+        200
+    );
 }
 
 /// Fault injection: a tenant hot-swapped mid-queue keeps serving already
@@ -137,11 +142,12 @@ fn hot_swap_mid_queue_serves_pinned_artifact_bitwise() {
     let (v1_deployment, frames) = fixture(24);
     let registry = Arc::new(DeploymentRegistry::new());
     registry.publish("chip", (*v1_deployment).clone());
-    // A long latency budget keeps the v1 request queued across the swap.
+    // A size-only policy keeps the v1 request queued across the swap,
+    // however idle the workers are; the shutdown drain serves it.
     let policy = BatchPolicy {
         max_batch_frames: 1 << 20,
         max_batch_requests: 1 << 10,
-        max_delay: Duration::from_millis(60),
+        max_delay: Duration::MAX,
         ..BatchPolicy::default()
     };
     let server = Server::with_policy(Arc::clone(&registry), 2, policy);
@@ -175,6 +181,7 @@ fn hot_swap_mid_queue_serves_pinned_artifact_bitwise() {
         .submit(ServeRequest::new("chip", frames.to_vec()))
         .unwrap();
     assert_eq!(fresh.version(), 2);
+    drop(server); // drain
 
     let v1_truth = v1_deployment.reconstruct_batch(&frames).unwrap();
     let v2_truth = v2_deployment.reconstruct_batch(&frames).unwrap();
@@ -472,11 +479,12 @@ fn tenant_policy_override_tiers_admission_control() {
     let registry = Arc::new(DeploymentRegistry::new());
     registry.publish("gold", (*deployment).clone());
     registry.publish("bulk", (*deployment).clone());
-    // Nothing ever flushes: pending queues fill deterministically.
+    // Nothing ever flushes (size-only): pending queues fill
+    // deterministically.
     let policy = BatchPolicy {
         max_batch_frames: 1 << 20,
         max_batch_requests: 1 << 10,
-        max_delay: Duration::from_secs(60),
+        max_delay: Duration::MAX,
         max_pending_per_tenant: 4,
         ..BatchPolicy::default()
     };
