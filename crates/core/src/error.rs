@@ -53,6 +53,13 @@ pub enum CoreError {
         /// What went wrong.
         context: &'static str,
     },
+    /// A sensor reading is NaN or ±inf. Readings are refused at every
+    /// ingress (see [`crate::SensorSet::check_readings`]) so that one bad
+    /// value cannot poison a map, a tracker's state or its snapshot.
+    NonFiniteReading {
+        /// Index of the offending reading within the `M` readings.
+        sensor: usize,
+    },
     /// A forced synthesis-kernel backend cannot run on this host (see
     /// [`crate::kernel::KernelKind::is_available`]).
     KernelUnavailable {
@@ -89,6 +96,9 @@ impl fmt::Display for CoreError {
             ),
             CoreError::Persist { context } => {
                 write!(f, "deployment persistence failure: {context}")
+            }
+            CoreError::NonFiniteReading { sensor } => {
+                write!(f, "reading of sensor {sensor} is not a finite number")
             }
             CoreError::KernelUnavailable { kernel } => {
                 write!(

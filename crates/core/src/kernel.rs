@@ -4,75 +4,54 @@
 //! Reconstruction cost at run time is dominated by the dense synthesis
 //! step: for every output cell `i`, accumulate `Σ_j Ψ[i,j]·α_j` and add
 //! the mean (Sec. 4 of the paper; `O(NK)` per frame vs the `O(MK)`
-//! triangular solve). This module owns that loop. [`Reconstructor`] blocks
-//! batches into [`FRAME_BLOCK`]-frame groups, transposes the coefficients
-//! so frames are contiguous, and hands the work to one
-//! [`SynthesisKernel`] backend:
+//! triangular solve). This module owns that loop. It has exactly one
+//! entry point, [`KernelKind::synthesize`], which runs over the packed
+//! basis panels of [`PackedBasis`] and reads the solver's frame-major
+//! coefficients directly. [`Reconstructor`] calls it in groups of at most
+//! [`FRAME_BLOCK`] frames, and a `match` on the kind picks the backend:
 //!
-//! * [`KernelKind::Scalar`] — one accumulator chain per frame, plain
-//!   multiply-then-add. The **reference oracle**: slow (bounded by the
-//!   floating-point add latency of its single chain) but the baseline
-//!   every other backend is tested against.
-//! * [`KernelKind::Lanes`] — portable 4-wide manually-unrolled path: four
-//!   independent accumulator chains advance together, hiding the add
-//!   latency. Uses the same multiply-then-add operations per output
-//!   element as the scalar path, so its output is **bitwise identical**
-//!   to [`KernelKind::Scalar`] on every host.
-//! * [`KernelKind::Avx2`] — `x86_64` AVX2 + FMA intrinsics path (two
-//!   4-lane fused-multiply-add chains in flight), selected by
-//!   `is_x86_feature_detected!` at run time. Fusing the multiply and add
-//!   rounds once instead of twice, so outputs differ from the scalar
-//!   oracle by rounding only — the cross-backend property tests bound the
-//!   divergence at `1e-10` relative.
-//! * [`KernelKind::Avx512`] — `x86_64` AVX-512F intrinsics path: 8-wide
-//!   `f64` fused-multiply-add chains, at least two in flight. Applies the
-//!   **same** fused per-element recurrence as the AVX2 backend in its
-//!   full-lane and remainder paths, so its output is bitwise identical to
-//!   [`KernelKind::Avx2`] (and therefore within the same `1e-10` relative
-//!   envelope of the scalar oracle).
-//!
-//! # Two entry points: streamed and packed+tiled
-//!
-//! Every backend implements the synthesis twice:
-//!
-//! * [`SynthesisKernel::synthesize_block`] — the **streamed** path over
-//!   the row-major basis matrix: frames ride the SIMD lanes and each
-//!   basis element is broadcast from its row-major position. Simple, no
-//!   layout preparation, but on big grids the whole `N×K` matrix is
-//!   pulled through cache once per frame block. Kept as the baseline the
-//!   packed path is benchmarked against (`benches/kernel.rs`).
-//! * [`SynthesisKernel::synthesize_panels`] — the **packed+tiled** hot
-//!   path over a [`PackedBasis`]: output rows ride the SIMD lanes, every
-//!   basis access is a full-width **aligned** vector load from a
-//!   cache-line-aligned panel column, and the caller loops L2-sized row
-//!   tiles outermost ([`PackedBasis::tile_spans`]) so each tile's panels
-//!   stay L2-resident across the entire batch instead of being
-//!   re-streamed per block. [`Reconstructor`] and (through it) the
-//!   serving fleet run this path.
-//!
-//! Both entry points apply the identical per-element recurrence, so for
-//! any one backend they produce **bitwise identical** outputs — asserted
-//! in this module's tests across lane, panel and tile boundaries.
+//! * [`KernelKind::Scalar`] — one accumulator chain per output element,
+//!   plain multiply-then-add in ascending-`j` order: exactly the
+//!   recurrence of `Matrix::matvec` plus the mean. The **reference
+//!   oracle**: slow (bounded by the floating-point add latency of its
+//!   single chain) but the baseline every other backend is tested
+//!   against.
+//! * [`KernelKind::Lanes`] — portable path: a panel's eight row chains
+//!   advance together over one contiguous panel column per coefficient,
+//!   hiding the add latency. Uses the same multiply-then-add operations
+//!   per output element as the scalar path, so its output is **bitwise
+//!   identical** to [`KernelKind::Scalar`] on every host.
+//! * [`KernelKind::Avx2`] — `x86_64` AVX2 + FMA intrinsics path (one
+//!   8-row panel rides two 4-lane fused-multiply-add chains per frame, two
+//!   frames in flight), selected by `is_x86_feature_detected!` at run
+//!   time. Fusing the multiply and add rounds once instead of twice, so
+//!   outputs differ from the scalar oracle by rounding only — the
+//!   cross-backend property tests bound the divergence at `1e-10`
+//!   relative.
+//! * [`KernelKind::Avx512`] — `x86_64` AVX-512F intrinsics path: one
+//!   panel column is one aligned 512-bit load, four frames in flight.
+//!   Applies the **same** fused per-element recurrence as the AVX2
+//!   backend in its full-panel and remainder paths, so its output is
+//!   bitwise identical to [`KernelKind::Avx2`] (and therefore within the
+//!   same `1e-10` relative envelope of the scalar oracle).
 //!
 //! # The position-independence contract
 //!
 //! Every backend must produce, for each frame, a rounding sequence that
 //! does not depend on the frame's position inside a block, the block
-//! size, its lane assignment, or the row tiling. Concretely: a backend
-//! fixes one per-element recurrence (multiply-then-add for
-//! `Scalar`/`Lanes`, fused multiply-add for `Avx2`/`Avx512`) and applies
-//! it in ascending-`j` order to every `(cell, frame)` output element,
-//! whether that element sits in a full SIMD group, in a remainder, in a
-//! lane-padded panel, or alone in a single-frame call. Row tiling
-//! reorders only *which element* is computed when — never an element's
-//! own chain — so it is bitwise-invisible by construction.
+//! size or its lane assignment. Concretely: a backend fixes one
+//! per-element recurrence (multiply-then-add for `Scalar`/`Lanes`, fused
+//! multiply-add for `Avx2`/`Avx512`) and applies it in ascending-`j`
+//! order to every `(cell, frame)` output element, whether that element
+//! sits in a full panel, in a lane-padded remainder panel, among several
+//! frames in flight, or alone in a single-frame call.
 //!
 //! This is what keeps the workspace-wide bitwise guarantees *per
 //! backend*: [`Reconstructor::reconstruct`],
 //! [`Reconstructor::reconstruct_batch`] and the sharded executor of
 //! `eigenmaps-serve` all route through the same deployment-selected
-//! backend, so batching, sharding and tiling never change an answer —
-//! only *changing the backend* does, and then only within the documented
+//! backend, so batching and sharding never change an answer — only
+//! *changing the backend* does, and then only within the documented
 //! tolerance.
 //!
 //! # Dispatch
@@ -99,21 +78,18 @@
 //! [`CoreError::KernelUnavailable`]: crate::CoreError::KernelUnavailable
 
 use std::fmt;
-use std::ops::Range;
 use std::sync::OnceLock;
-
-use eigenmaps_linalg::Matrix;
 
 use crate::error::{CoreError, Result};
 pub use crate::packed::{PackedBasis, PANEL_ROWS};
 
-/// Frames per synthesis block: [`crate::Reconstructor`] transposes
-/// coefficients and calls the kernel in groups of at most this many
-/// frames, so the per-block coefficient tile stays cache resident.
+/// Frames per synthesis block: [`crate::Reconstructor`] calls the kernel
+/// in groups of at most this many frames, so the block's output frames
+/// stay cache resident while every panel sweeps across them.
 pub const FRAME_BLOCK: usize = 32;
 
-/// Width of the SIMD-friendly inner loops of the portable and AVX2 paths
-/// (the AVX-512 path runs 2× this width).
+/// `f64` lanes in one AVX2 vector (half a panel column; the AVX-512 path
+/// loads a whole column at once).
 pub const LANES: usize = 4;
 
 /// Identifies one synthesis backend. See the [module docs](self) for what
@@ -121,10 +97,9 @@ pub const LANES: usize = 4;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum KernelKind {
-    /// Reference scalar path — one multiply-then-add chain per frame.
+    /// Reference scalar path — one multiply-then-add chain per element.
     Scalar,
-    /// Portable 4-wide manually-unrolled path; bitwise identical to
-    /// `Scalar`.
+    /// Portable panel-wide path; bitwise identical to `Scalar`.
     Lanes,
     /// `x86_64` AVX2 + FMA intrinsics path; equals `Scalar` within
     /// rounding (`1e-10` relative in the property tests).
@@ -216,25 +191,6 @@ impl KernelKind {
         KernelKind::ALL.into_iter().find(|k| k.name() == name)
     }
 
-    /// The backend implementation for this kind.
-    ///
-    /// For an unavailable kind (forced `Avx512`/`Avx2` on a host without
-    /// it — unreachable through [`crate::Reconstructor::set_kernel`],
-    /// which validates availability) this degrades safely to the next
-    /// available path down the dispatch order rather than executing
-    /// unsupported instructions.
-    pub fn backend(self) -> &'static dyn SynthesisKernel {
-        match self {
-            KernelKind::Scalar => &ScalarKernel,
-            KernelKind::Lanes => &LanesKernel,
-            #[cfg(target_arch = "x86_64")]
-            KernelKind::Avx512 if avx512_available() => &Avx512Kernel,
-            #[cfg(target_arch = "x86_64")]
-            KernelKind::Avx2 | KernelKind::Avx512 if avx2_available() => &Avx2Kernel,
-            KernelKind::Avx2 | KernelKind::Avx512 => &LanesKernel,
-        }
-    }
-
     /// Validates that this backend is runnable here.
     ///
     /// # Errors
@@ -248,6 +204,65 @@ impl KernelKind {
             Err(CoreError::KernelUnavailable {
                 kernel: self.name(),
             })
+        }
+    }
+
+    /// The backend [`KernelKind::synthesize`] actually runs for this kind.
+    ///
+    /// An unavailable kind (forced `Avx512`/`Avx2` on a host without it —
+    /// unreachable through [`crate::Reconstructor::set_kernel`], which
+    /// validates availability) degrades down the dispatch order
+    /// (avx512 → avx2 → lanes) rather than executing unsupported
+    /// instructions.
+    fn resolved(self) -> KernelKind {
+        match self {
+            KernelKind::Avx512 if avx512_available() => KernelKind::Avx512,
+            KernelKind::Avx2 | KernelKind::Avx512 if avx2_available() => KernelKind::Avx2,
+            KernelKind::Avx2 | KernelKind::Avx512 => KernelKind::Lanes,
+            kind => kind,
+        }
+    }
+
+    /// Synthesizes a block of `bsz` frames over the packed basis:
+    ///
+    /// ```text
+    /// outs[f][i] = Σ_j Ψ[i, j] · alphas[f·K + j]  +  mean[i]
+    /// ```
+    ///
+    /// where `alphas` holds the block's coefficients frame-major (`K`
+    /// per frame, exactly as the least-squares solver writes them). The
+    /// result obeys the position-independence contract of the
+    /// [module docs](self): frame `f` is bitwise what a `bsz = 1` call on
+    /// its coefficients alone would produce.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes disagree: `mean.len() != packed.rows()`,
+    /// `alphas.len() < packed.cols() * bsz`, `outs.len() < bsz`, or any
+    /// `outs[f].len() != packed.rows()`. The SIMD paths read through raw
+    /// pointers, so these checks are what make this a safe API.
+    pub fn synthesize(
+        self,
+        packed: &PackedBasis,
+        mean: &[f64],
+        alphas: &[f64],
+        bsz: usize,
+        outs: &mut [&mut [f64]],
+    ) {
+        check_panel_shapes(packed, mean, alphas, bsz, outs);
+        match self.resolved() {
+            KernelKind::Scalar => synthesize_scalar(packed, mean, alphas, bsz, outs),
+            // SAFETY: `resolved` only yields `Avx512` after
+            // `avx512_available()` confirmed `avx512f` at run time; the
+            // aligned panel loads are justified by the PackedBasis
+            // alignment invariant.
+            #[cfg(target_arch = "x86_64")]
+            KernelKind::Avx512 => unsafe { synthesize_avx512(packed, mean, alphas, bsz, outs) },
+            // SAFETY: as above, after `avx2_available()` confirmed the
+            // `avx2` and `fma` CPU features.
+            #[cfg(target_arch = "x86_64")]
+            KernelKind::Avx2 => unsafe { synthesize_avx2(packed, mean, alphas, bsz, outs) },
+            _ => synthesize_lanes(packed, mean, alphas, bsz, outs),
         }
     }
 }
@@ -278,108 +293,26 @@ fn avx512_available() -> bool {
     false
 }
 
-/// One interchangeable synthesis backend.
-///
-/// [`SynthesisKernel::synthesize_block`] computes, for a block of `bsz`
-/// frames,
-///
-/// ```text
-/// outs[f][i] = Σ_j basis[i, j] · alpha_t[j · bsz + f]  +  mean[i]
-/// ```
-///
-/// where `alpha_t` holds the block's coefficients transposed
-/// frame-contiguous (`j`-major with stride `bsz`).
-/// [`SynthesisKernel::synthesize_panels`] computes the same sum for the
-/// output rows of a panel range of a [`PackedBasis`], leaving all other
-/// rows of `outs` untouched.
-///
-/// Implementations must uphold the position-independence contract of the
-/// [module docs](self): an output element's rounding sequence may depend
-/// only on the backend — never on `bsz`, the frame's index within the
-/// block, the entry point, or the panel tiling. In particular the two
-/// entry points are mutually **bitwise identical** per backend.
-pub trait SynthesisKernel: fmt::Debug + Send + Sync {
-    /// Which [`KernelKind`] this backend implements.
-    fn kind(&self) -> KernelKind;
-
-    /// Synthesizes one block of `bsz` frames over the streamed row-major
-    /// basis; see the trait docs for the exact computation and data
-    /// layout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes disagree: `mean.len() != basis.rows()`,
-    /// `alpha_t.len() < basis.cols() * bsz`, `outs.len() < bsz`, or any
-    /// `outs[f].len() != basis.rows()`. Every backend validates these up
-    /// front (the SIMD paths read through raw pointers, so the checks are
-    /// what make this a safe API).
-    fn synthesize_block(
-        &self,
-        basis: &Matrix,
-        mean: &[f64],
-        alpha_t: &[f64],
-        bsz: usize,
-        outs: &mut [&mut [f64]],
-    );
-
-    /// Synthesizes the output rows covered by `panels` (a panel range of
-    /// `packed`, see [`PackedBasis::tile_spans`]) for a block of `bsz`
-    /// frames — the packed+tiled hot path. Rows outside the panel range
-    /// are left untouched, so a caller sweeps tiles to cover the grid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes disagree: `panels.end > packed.panels()`,
-    /// `mean.len() != packed.rows()`, `alpha_t.len() < packed.cols() *
-    /// bsz`, `outs.len() < bsz`, or any `outs[f].len() != packed.rows()`.
-    fn synthesize_panels(
-        &self,
-        packed: &PackedBasis,
-        panels: Range<usize>,
-        mean: &[f64],
-        alpha_t: &[f64],
-        bsz: usize,
-        outs: &mut [&mut [f64]],
-    );
-}
-
-/// Shape validation shared by the backends, so a mis-sized call fails
-/// loudly at the kernel boundary. These are hard asserts, not debug
-/// asserts: the SIMD backends read `alpha_t` through raw pointers, so
-/// the bounds established here are load-bearing for memory safety. Cost
-/// is one pass per [`FRAME_BLOCK`]-frame block — noise next to the
-/// `O(N·K·bsz)` synthesis it guards.
-#[inline]
-fn check_shapes(basis: &Matrix, mean: &[f64], alpha_t: &[f64], bsz: usize, outs: &[&mut [f64]]) {
-    assert_eq!(mean.len(), basis.rows(), "kernel: mean length");
-    assert!(
-        alpha_t.len() >= basis.cols() * bsz,
-        "kernel: alpha_t too short"
-    );
-    assert!(outs.len() >= bsz, "kernel: too few output frames");
-    assert!(
-        outs.iter().take(bsz).all(|o| o.len() == basis.rows()),
-        "kernel: output frame length"
-    );
-}
-
-/// [`check_shapes`] for the packed entry point; additionally bounds the
-/// panel range. The panel-column alignment and lane-padding invariants
-/// the SIMD loads rely on are upheld by [`PackedBasis`] itself.
+/// Shape validation at the kernel boundary, so a mis-sized call fails
+/// loudly. These are hard asserts, not debug asserts: the SIMD backends
+/// read `alphas` and write `outs` through raw pointers, so the bounds
+/// established here are load-bearing for memory safety. The panel-column
+/// alignment and lane-padding invariants the SIMD loads rely on are
+/// upheld by [`PackedBasis`] itself. Cost is one pass per
+/// [`FRAME_BLOCK`]-frame block — noise next to the `O(N·K·bsz)` synthesis
+/// it guards.
 #[inline]
 fn check_panel_shapes(
     packed: &PackedBasis,
-    panels: &Range<usize>,
     mean: &[f64],
-    alpha_t: &[f64],
+    alphas: &[f64],
     bsz: usize,
     outs: &[&mut [f64]],
 ) {
-    assert!(panels.end <= packed.panels(), "kernel: panel range");
     assert_eq!(mean.len(), packed.rows(), "kernel: mean length");
     assert!(
-        alpha_t.len() >= packed.cols() * bsz,
-        "kernel: alpha_t too short"
+        alphas.len() >= packed.cols() * bsz,
+        "kernel: alphas too short"
     );
     assert!(outs.len() >= bsz, "kernel: too few output frames");
     assert!(
@@ -389,296 +322,89 @@ fn check_panel_shapes(
 }
 
 /// The reference scalar backend ([`KernelKind::Scalar`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ScalarKernel;
-
-impl SynthesisKernel for ScalarKernel {
-    fn kind(&self) -> KernelKind {
-        KernelKind::Scalar
-    }
-
-    fn synthesize_block(
-        &self,
-        basis: &Matrix,
-        mean: &[f64],
-        alpha_t: &[f64],
-        bsz: usize,
-        outs: &mut [&mut [f64]],
-    ) {
-        check_shapes(basis, mean, alpha_t, bsz, outs);
-        for i in 0..basis.rows() {
-            let row = basis.row(i);
-            let mu = mean[i];
-            for (f, out) in outs.iter_mut().enumerate().take(bsz) {
-                let mut acc = 0.0;
-                for (j, &rij) in row.iter().enumerate() {
-                    acc += rij * alpha_t[j * bsz + f];
-                }
-                out[i] = acc + mu;
-            }
-        }
-    }
-
-    fn synthesize_panels(
-        &self,
-        packed: &PackedBasis,
-        panels: Range<usize>,
-        mean: &[f64],
-        alpha_t: &[f64],
-        bsz: usize,
-        outs: &mut [&mut [f64]],
-    ) {
-        check_panel_shapes(packed, &panels, mean, alpha_t, bsz, outs);
-        let k = packed.cols();
-        for p in panels {
-            let panel = packed.panel(p);
-            let base = packed.panel_base(p);
-            for lane in 0..packed.panel_valid_rows(p) {
-                let mu = mean[base + lane];
-                for (f, out) in outs.iter_mut().enumerate().take(bsz) {
-                    let mut acc = 0.0;
-                    for j in 0..k {
-                        acc += panel[j * PANEL_ROWS + lane] * alpha_t[j * bsz + f];
-                    }
-                    out[base + lane] = acc + mu;
-                }
-            }
-        }
-    }
-}
-
-/// The portable 4-wide manually-unrolled backend ([`KernelKind::Lanes`]).
-///
-/// Four independent accumulator chains advance together (frames in the
-/// streamed path, panel rows in the packed path), hiding the
-/// floating-point add latency that bounds the scalar path, over memory
-/// the autovectorizer can turn into packed multiply/add. Each chain
-/// performs exactly the scalar recurrence, so the output is bitwise
-/// identical to [`ScalarKernel`] through either entry point.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LanesKernel;
-
-impl SynthesisKernel for LanesKernel {
-    fn kind(&self) -> KernelKind {
-        KernelKind::Lanes
-    }
-
-    fn synthesize_block(
-        &self,
-        basis: &Matrix,
-        mean: &[f64],
-        alpha_t: &[f64],
-        bsz: usize,
-        outs: &mut [&mut [f64]],
-    ) {
-        check_shapes(basis, mean, alpha_t, bsz, outs);
-        for i in 0..basis.rows() {
-            let row = basis.row(i);
-            let mu = mean[i];
-            let mut f = 0;
-            while f + LANES <= bsz {
-                let mut a = [0.0f64; LANES];
-                for (j, &rij) in row.iter().enumerate() {
-                    let col = &alpha_t[j * bsz + f..j * bsz + f + LANES];
-                    a[0] += rij * col[0];
-                    a[1] += rij * col[1];
-                    a[2] += rij * col[2];
-                    a[3] += rij * col[3];
-                }
-                for (lane, &v) in a.iter().enumerate() {
-                    outs[f + lane][i] = v + mu;
-                }
-                f += LANES;
-            }
-            while f < bsz {
-                let mut acc = 0.0;
-                for (j, &rij) in row.iter().enumerate() {
-                    acc += rij * alpha_t[j * bsz + f];
-                }
-                outs[f][i] = acc + mu;
-                f += 1;
-            }
-        }
-    }
-
-    fn synthesize_panels(
-        &self,
-        packed: &PackedBasis,
-        panels: Range<usize>,
-        mean: &[f64],
-        alpha_t: &[f64],
-        bsz: usize,
-        outs: &mut [&mut [f64]],
-    ) {
-        check_panel_shapes(packed, &panels, mean, alpha_t, bsz, outs);
-        let k = packed.cols();
-        for p in panels {
-            let panel = packed.panel(p);
-            let base = packed.panel_base(p);
-            let valid = packed.panel_valid_rows(p);
-            if valid == PANEL_ROWS {
-                // Full panel: all 8 row chains advance together over one
-                // contiguous panel column per coefficient — a fixed-width
-                // inner loop the autovectorizer unrolls into packed
-                // multiply/add. Multiply-then-add per element keeps it
-                // bitwise equal to the scalar path.
-                for (f, out) in outs.iter_mut().enumerate().take(bsz) {
-                    let mut a = [0.0f64; PANEL_ROWS];
-                    for j in 0..k {
-                        let col = &panel[j * PANEL_ROWS..(j + 1) * PANEL_ROWS];
-                        let x = alpha_t[j * bsz + f];
-                        for (acc, &c) in a.iter_mut().zip(col.iter()) {
-                            *acc += c * x;
-                        }
-                    }
-                    for (lane, &v) in a.iter().enumerate() {
-                        out[base + lane] = v + mean[base + lane];
-                    }
-                }
-            } else {
-                // Lane-padded remainder panel: same chains, but only the
-                // valid rows are stored.
-                for (f, out) in outs.iter_mut().enumerate().take(bsz) {
-                    for lane in 0..valid {
-                        let mut acc = 0.0;
-                        for j in 0..k {
-                            acc += panel[j * PANEL_ROWS + lane] * alpha_t[j * bsz + f];
-                        }
-                        out[base + lane] = acc + mean[base + lane];
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The `x86_64` AVX2 + FMA backend ([`KernelKind::Avx2`]).
-///
-/// Streamed path: eight frames stay in flight as two 4-lane `vfmadd`
-/// accumulator chains; remainders drop to one 4-lane chain, then to
-/// scalar [`f64::mul_add`]. Packed path: one 8-row panel rides two 4-lane
-/// chains per frame, two frames in flight (four chains), with **aligned**
-/// panel-column loads. Every path applies the *same* fused recurrence per
-/// output element, preserving the position-independence contract. Only
-/// selectable when `is_x86_feature_detected!` reports both `avx2` and
-/// `fma`.
-#[cfg(target_arch = "x86_64")]
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Avx2Kernel;
-
-#[cfg(target_arch = "x86_64")]
-impl SynthesisKernel for Avx2Kernel {
-    fn kind(&self) -> KernelKind {
-        KernelKind::Avx2
-    }
-
-    fn synthesize_block(
-        &self,
-        basis: &Matrix,
-        mean: &[f64],
-        alpha_t: &[f64],
-        bsz: usize,
-        outs: &mut [&mut [f64]],
-    ) {
-        check_shapes(basis, mean, alpha_t, bsz, outs);
-        // SAFETY: `KernelKind::backend` only hands out this backend after
-        // `avx2_available()` confirmed the `avx2` and `fma` CPU features
-        // at run time.
-        unsafe { synthesize_avx2(basis, mean, alpha_t, bsz, outs) }
-    }
-
-    fn synthesize_panels(
-        &self,
-        packed: &PackedBasis,
-        panels: Range<usize>,
-        mean: &[f64],
-        alpha_t: &[f64],
-        bsz: usize,
-        outs: &mut [&mut [f64]],
-    ) {
-        check_panel_shapes(packed, &panels, mean, alpha_t, bsz, outs);
-        // SAFETY: feature availability as above; the aligned panel loads
-        // are justified by the PackedBasis alignment invariant.
-        unsafe { synthesize_panels_avx2(packed, panels, mean, alpha_t, bsz, outs) }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn synthesize_avx2(
-    basis: &Matrix,
+fn synthesize_scalar(
+    packed: &PackedBasis,
     mean: &[f64],
-    alpha_t: &[f64],
+    alphas: &[f64],
     bsz: usize,
     outs: &mut [&mut [f64]],
 ) {
-    use std::arch::x86_64::{
-        _mm256_add_pd, _mm256_fmadd_pd, _mm256_loadu_pd, _mm256_set1_pd, _mm256_setzero_pd,
-        _mm256_storeu_pd,
-    };
-
-    let alpha = alpha_t.as_ptr();
-    for i in 0..basis.rows() {
-        let row = basis.row(i);
-        let mu = _mm256_set1_pd(mean[i]);
-        let mut f = 0;
-        // Two 4-lane chains: vfmadd latency is ~4-5 cycles at 2/cycle
-        // throughput, so one chain per group would leave the FMA units
-        // mostly idle.
-        while f + 2 * LANES <= bsz {
-            let mut acc0 = _mm256_setzero_pd();
-            let mut acc1 = _mm256_setzero_pd();
-            for (j, &rij) in row.iter().enumerate() {
-                let r = _mm256_set1_pd(rij);
-                let x0 = _mm256_loadu_pd(alpha.add(j * bsz + f));
-                let x1 = _mm256_loadu_pd(alpha.add(j * bsz + f + LANES));
-                acc0 = _mm256_fmadd_pd(r, x0, acc0);
-                acc1 = _mm256_fmadd_pd(r, x1, acc1);
+    let k = packed.cols();
+    for p in 0..packed.panels() {
+        let panel = packed.panel(p);
+        let base = packed.panel_base(p);
+        for lane in 0..packed.panel_valid_rows(p) {
+            let mu = mean[base + lane];
+            for (f, out) in outs.iter_mut().enumerate().take(bsz) {
+                let alpha = &alphas[f * k..(f + 1) * k];
+                let mut acc = 0.0;
+                for (j, &a) in alpha.iter().enumerate() {
+                    acc += panel[j * PANEL_ROWS + lane] * a;
+                }
+                out[base + lane] = acc + mu;
             }
-            let mut tmp = [0.0f64; 2 * LANES];
-            _mm256_storeu_pd(tmp.as_mut_ptr(), _mm256_add_pd(acc0, mu));
-            _mm256_storeu_pd(tmp.as_mut_ptr().add(LANES), _mm256_add_pd(acc1, mu));
-            for (lane, &v) in tmp.iter().enumerate() {
-                outs[f + lane][i] = v;
-            }
-            f += 2 * LANES;
-        }
-        while f + LANES <= bsz {
-            let mut acc = _mm256_setzero_pd();
-            for (j, &rij) in row.iter().enumerate() {
-                let r = _mm256_set1_pd(rij);
-                let x = _mm256_loadu_pd(alpha.add(j * bsz + f));
-                acc = _mm256_fmadd_pd(r, x, acc);
-            }
-            let mut tmp = [0.0f64; LANES];
-            _mm256_storeu_pd(tmp.as_mut_ptr(), _mm256_add_pd(acc, mu));
-            for (lane, &v) in tmp.iter().enumerate() {
-                outs[f + lane][i] = v;
-            }
-            f += LANES;
-        }
-        let mu_scalar = mean[i];
-        while f < bsz {
-            let mut acc = 0.0f64;
-            for (j, &rij) in row.iter().enumerate() {
-                // Scalar fused multiply-add: lane-for-lane the same
-                // rounding as `_mm256_fmadd_pd` above, keeping frames in
-                // the remainder bitwise consistent with full lanes.
-                acc = rij.mul_add(alpha_t[j * bsz + f], acc);
-            }
-            outs[f][i] = acc + mu_scalar;
-            f += 1;
         }
     }
 }
 
+/// The portable backend ([`KernelKind::Lanes`]): a panel's eight row
+/// chains advance together over one contiguous panel column per
+/// coefficient — a fixed-width inner loop the autovectorizer unrolls into
+/// packed multiply/add — hiding the floating-point add latency that
+/// bounds the scalar path. Each chain performs exactly the scalar
+/// multiply-then-add recurrence, so the output is bitwise identical to
+/// the scalar backend. A lane-padded remainder panel runs the same
+/// full-width chains (its zero padding lanes are inert) and stores only
+/// its valid rows.
+fn synthesize_lanes(
+    packed: &PackedBasis,
+    mean: &[f64],
+    alphas: &[f64],
+    bsz: usize,
+    outs: &mut [&mut [f64]],
+) {
+    let k = packed.cols();
+    for p in 0..packed.panels() {
+        let panel = packed.panel(p);
+        let base = packed.panel_base(p);
+        let rows = base..base + packed.panel_valid_rows(p);
+        for (f, out) in outs.iter_mut().enumerate().take(bsz) {
+            let mut acc = [0.0f64; PANEL_ROWS];
+            for (col, &a) in panel
+                .chunks_exact(PANEL_ROWS)
+                .zip(&alphas[f * k..(f + 1) * k])
+            {
+                for (s, &c) in acc.iter_mut().zip(col) {
+                    *s += c * a;
+                }
+            }
+            for ((o, &mu), &v) in out[rows.clone()]
+                .iter_mut()
+                .zip(&mean[rows.clone()])
+                .zip(&acc)
+            {
+                *o = v + mu;
+            }
+        }
+    }
+}
+
+/// The `x86_64` AVX2 + FMA backend ([`KernelKind::Avx2`]): one 8-row
+/// panel rides two 4-lane chains per frame, two frames in flight (four
+/// chains), with **aligned** panel-column loads. Every path applies the
+/// *same* fused recurrence per output element, preserving the
+/// position-independence contract.
+///
+/// # Safety
+///
+/// The host must support `avx2` and `fma`, and the shapes must have
+/// passed [`check_panel_shapes`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn synthesize_panels_avx2(
+unsafe fn synthesize_avx2(
     packed: &PackedBasis,
-    panels: Range<usize>,
     mean: &[f64],
-    alpha_t: &[f64],
+    alphas: &[f64],
     bsz: usize,
     outs: &mut [&mut [f64]],
 ) {
@@ -688,8 +414,8 @@ unsafe fn synthesize_panels_avx2(
     };
 
     let k = packed.cols();
-    let alpha = alpha_t.as_ptr();
-    for p in panels {
+    let alpha = alphas.as_ptr();
+    for p in 0..packed.panels() {
         // SAFETY of the `_mm256_load_pd` calls below: `PackedBasis::panel`
         // guarantees 64-byte alignment of the panel base and a contiguous
         // `8K`-element panel, so both 32-byte halves of every panel column
@@ -703,9 +429,10 @@ unsafe fn synthesize_panels_avx2(
             let mut f = 0;
             // Two frames in flight share every panel-column load: per
             // coefficient that is 2 aligned loads + 2 broadcasts feeding
-            // 4 independent FMA chains — load ports and FMA ports stay
-            // balanced instead of the streamed path's 3-loads-per-2-FMAs.
+            // 4 independent FMA chains, keeping load and FMA ports
+            // balanced.
             while f + 2 <= bsz {
+                let (x0p, x1p) = (alpha.add(f * k), alpha.add((f + 1) * k));
                 let mut a00 = _mm256_setzero_pd();
                 let mut a01 = _mm256_setzero_pd();
                 let mut a10 = _mm256_setzero_pd();
@@ -713,8 +440,8 @@ unsafe fn synthesize_panels_avx2(
                 for j in 0..k {
                     let c0 = _mm256_load_pd(panel.add(j * PANEL_ROWS));
                     let c1 = _mm256_load_pd(panel.add(j * PANEL_ROWS + LANES));
-                    let x0 = _mm256_set1_pd(*alpha_t.get_unchecked(j * bsz + f));
-                    let x1 = _mm256_set1_pd(*alpha_t.get_unchecked(j * bsz + f + 1));
+                    let x0 = _mm256_set1_pd(*x0p.add(j));
+                    let x1 = _mm256_set1_pd(*x1p.add(j));
                     a00 = _mm256_fmadd_pd(c0, x0, a00);
                     a01 = _mm256_fmadd_pd(c1, x0, a01);
                     a10 = _mm256_fmadd_pd(c0, x1, a10);
@@ -729,10 +456,11 @@ unsafe fn synthesize_panels_avx2(
                 f += 2;
             }
             while f < bsz {
+                let xp = alpha.add(f * k);
                 let mut a0 = _mm256_setzero_pd();
                 let mut a1 = _mm256_setzero_pd();
                 for j in 0..k {
-                    let x = _mm256_set1_pd(*alpha_t.get_unchecked(j * bsz + f));
+                    let x = _mm256_set1_pd(*xp.add(j));
                     a0 = _mm256_fmadd_pd(_mm256_load_pd(panel.add(j * PANEL_ROWS)), x, a0);
                     a1 = _mm256_fmadd_pd(_mm256_load_pd(panel.add(j * PANEL_ROWS + LANES)), x, a1);
                 }
@@ -747,10 +475,11 @@ unsafe fn synthesize_panels_avx2(
             // store only the valid rows. Same per-element recurrence and
             // the same final add as the vector path.
             for (f, out) in outs.iter_mut().enumerate().take(bsz) {
+                let xp = alpha.add(f * k);
                 let mut a0 = _mm256_setzero_pd();
                 let mut a1 = _mm256_setzero_pd();
                 for j in 0..k {
-                    let x = _mm256_set1_pd(*alpha.add(j * bsz + f));
+                    let x = _mm256_set1_pd(*xp.add(j));
                     a0 = _mm256_fmadd_pd(_mm256_load_pd(panel.add(j * PANEL_ROWS)), x, a0);
                     a1 = _mm256_fmadd_pd(_mm256_load_pd(panel.add(j * PANEL_ROWS + LANES)), x, a1);
                 }
@@ -765,198 +494,72 @@ unsafe fn synthesize_panels_avx2(
     }
 }
 
-/// The `x86_64` AVX-512F backend ([`KernelKind::Avx512`]).
+/// The `x86_64` AVX-512F backend ([`KernelKind::Avx512`]): one 8-row
+/// panel column is exactly one **aligned** 512-bit load, with four frames
+/// in flight sharing it (four chains). A lane-padded remainder panel runs
+/// the same loops under a lane mask (masked mean load, masked store), so
+/// its padding lanes are neither read from `mean` nor written. Every path
+/// applies the same fused recurrence per output element as the AVX2
+/// backend, so the two are bitwise identical.
 ///
-/// Streamed path: sixteen frames stay in flight as two 8-lane `vfmadd`
-/// accumulator chains; remainders drop to one 8-lane chain, then to
-/// scalar [`f64::mul_add`]. Packed path: one 8-row panel column is
-/// exactly one **aligned** 512-bit load, with four frames in flight
-/// sharing it (four chains). Every path applies the same fused recurrence
-/// per output element as the AVX2 backend, so the two are bitwise
-/// identical. Only selectable when `is_x86_feature_detected!` reports
-/// `avx512f`.
-#[cfg(target_arch = "x86_64")]
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Avx512Kernel;
-
-#[cfg(target_arch = "x86_64")]
-impl SynthesisKernel for Avx512Kernel {
-    fn kind(&self) -> KernelKind {
-        KernelKind::Avx512
-    }
-
-    fn synthesize_block(
-        &self,
-        basis: &Matrix,
-        mean: &[f64],
-        alpha_t: &[f64],
-        bsz: usize,
-        outs: &mut [&mut [f64]],
-    ) {
-        check_shapes(basis, mean, alpha_t, bsz, outs);
-        // SAFETY: `KernelKind::backend` only hands out this backend after
-        // `avx512_available()` confirmed `avx512f` at run time.
-        unsafe { synthesize_avx512(basis, mean, alpha_t, bsz, outs) }
-    }
-
-    fn synthesize_panels(
-        &self,
-        packed: &PackedBasis,
-        panels: Range<usize>,
-        mean: &[f64],
-        alpha_t: &[f64],
-        bsz: usize,
-        outs: &mut [&mut [f64]],
-    ) {
-        check_panel_shapes(packed, &panels, mean, alpha_t, bsz, outs);
-        // SAFETY: feature availability as above; the aligned panel loads
-        // are justified by the PackedBasis alignment invariant.
-        unsafe { synthesize_panels_avx512(packed, panels, mean, alpha_t, bsz, outs) }
-    }
-}
-
-/// AVX-512 `f64` lane width.
-#[cfg(target_arch = "x86_64")]
-const W512: usize = 8;
-
+/// # Safety
+///
+/// The host must support `avx512f`, and the shapes must have passed
+/// [`check_panel_shapes`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 unsafe fn synthesize_avx512(
-    basis: &Matrix,
-    mean: &[f64],
-    alpha_t: &[f64],
-    bsz: usize,
-    outs: &mut [&mut [f64]],
-) {
-    use std::arch::x86_64::{
-        _mm512_add_pd, _mm512_fmadd_pd, _mm512_loadu_pd, _mm512_set1_pd, _mm512_setzero_pd,
-        _mm512_storeu_pd,
-    };
-
-    let alpha = alpha_t.as_ptr();
-    for i in 0..basis.rows() {
-        let row = basis.row(i);
-        let mu = _mm512_set1_pd(mean[i]);
-        let mut f = 0;
-        // Two 8-lane chains in flight, mirroring the AVX2 structure at
-        // twice the width.
-        while f + 2 * W512 <= bsz {
-            let mut acc0 = _mm512_setzero_pd();
-            let mut acc1 = _mm512_setzero_pd();
-            for (j, &rij) in row.iter().enumerate() {
-                let r = _mm512_set1_pd(rij);
-                let x0 = _mm512_loadu_pd(alpha.add(j * bsz + f));
-                let x1 = _mm512_loadu_pd(alpha.add(j * bsz + f + W512));
-                acc0 = _mm512_fmadd_pd(r, x0, acc0);
-                acc1 = _mm512_fmadd_pd(r, x1, acc1);
-            }
-            let mut tmp = [0.0f64; 2 * W512];
-            _mm512_storeu_pd(tmp.as_mut_ptr(), _mm512_add_pd(acc0, mu));
-            _mm512_storeu_pd(tmp.as_mut_ptr().add(W512), _mm512_add_pd(acc1, mu));
-            for (lane, &v) in tmp.iter().enumerate() {
-                outs[f + lane][i] = v;
-            }
-            f += 2 * W512;
-        }
-        while f + W512 <= bsz {
-            let mut acc = _mm512_setzero_pd();
-            for (j, &rij) in row.iter().enumerate() {
-                let r = _mm512_set1_pd(rij);
-                let x = _mm512_loadu_pd(alpha.add(j * bsz + f));
-                acc = _mm512_fmadd_pd(r, x, acc);
-            }
-            let mut tmp = [0.0f64; W512];
-            _mm512_storeu_pd(tmp.as_mut_ptr(), _mm512_add_pd(acc, mu));
-            for (lane, &v) in tmp.iter().enumerate() {
-                outs[f + lane][i] = v;
-            }
-            f += W512;
-        }
-        let mu_scalar = mean[i];
-        while f < bsz {
-            let mut acc = 0.0f64;
-            for (j, &rij) in row.iter().enumerate() {
-                // Scalar fused multiply-add: the same rounding per element
-                // as `_mm512_fmadd_pd` above.
-                acc = rij.mul_add(alpha_t[j * bsz + f], acc);
-            }
-            outs[f][i] = acc + mu_scalar;
-            f += 1;
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn synthesize_panels_avx512(
     packed: &PackedBasis,
-    panels: Range<usize>,
     mean: &[f64],
-    alpha_t: &[f64],
+    alphas: &[f64],
     bsz: usize,
     outs: &mut [&mut [f64]],
 ) {
     use std::arch::x86_64::{
-        __m512d, _mm512_add_pd, _mm512_fmadd_pd, _mm512_load_pd, _mm512_loadu_pd, _mm512_set1_pd,
-        _mm512_setzero_pd, _mm512_storeu_pd,
+        __m512d, _mm512_add_pd, _mm512_fmadd_pd, _mm512_load_pd, _mm512_mask_storeu_pd,
+        _mm512_maskz_loadu_pd, _mm512_set1_pd, _mm512_setzero_pd,
     };
 
     let k = packed.cols();
-    for p in panels {
+    let alpha = alphas.as_ptr();
+    for p in 0..packed.panels() {
         // SAFETY of the `_mm512_load_pd` calls below: `PackedBasis::panel`
         // guarantees every panel column is one 64-byte-aligned cache line,
-        // i.e. exactly one aligned in-bounds 512-bit load.
+        // i.e. exactly one aligned in-bounds 512-bit load. The masked mean
+        // load and output stores touch only the panel's valid rows.
         let panel = packed.panel(p).as_ptr();
         let base = packed.panel_base(p);
-        let valid = packed.panel_valid_rows(p);
-        if valid == PANEL_ROWS {
-            let mv = _mm512_loadu_pd(mean.as_ptr().add(base));
-            let mut f = 0;
-            // Four frames in flight share every aligned panel-column load
-            // (1 load + 4 broadcasts feeding 4 independent FMA chains per
-            // coefficient), keeping the FMA ports saturated.
-            while f + 4 <= bsz {
-                let mut a: [__m512d; 4] = [_mm512_setzero_pd(); 4];
-                for j in 0..k {
-                    let c = _mm512_load_pd(panel.add(j * PANEL_ROWS));
-                    for (q, acc) in a.iter_mut().enumerate() {
-                        let x = _mm512_set1_pd(*alpha_t.get_unchecked(j * bsz + f + q));
-                        *acc = _mm512_fmadd_pd(c, x, *acc);
-                    }
-                }
-                for (q, acc) in a.iter().enumerate() {
-                    let o = outs[f + q].as_mut_ptr().add(base);
-                    _mm512_storeu_pd(o, _mm512_add_pd(*acc, mv));
-                }
-                f += 4;
-            }
-            while f < bsz {
-                let mut acc = _mm512_setzero_pd();
-                for j in 0..k {
-                    let c = _mm512_load_pd(panel.add(j * PANEL_ROWS));
-                    let x = _mm512_set1_pd(*alpha_t.get_unchecked(j * bsz + f));
-                    acc = _mm512_fmadd_pd(c, x, acc);
-                }
-                let o = outs[f].as_mut_ptr().add(base);
-                _mm512_storeu_pd(o, _mm512_add_pd(acc, mv));
-                f += 1;
-            }
-        } else {
-            // Lane-padded remainder panel: full-width chains over the
-            // zero-padded column, spill, store the valid rows only.
-            for (f, out) in outs.iter_mut().enumerate().take(bsz) {
-                let mut acc = _mm512_setzero_pd();
-                for j in 0..k {
-                    let c = _mm512_load_pd(panel.add(j * PANEL_ROWS));
-                    let x = _mm512_set1_pd(*alpha_t.get_unchecked(j * bsz + f));
-                    acc = _mm512_fmadd_pd(c, x, acc);
-                }
-                let mut tmp = [0.0f64; PANEL_ROWS];
-                _mm512_storeu_pd(tmp.as_mut_ptr(), acc);
-                for (lane, &v) in tmp.iter().enumerate().take(valid) {
-                    out[base + lane] = v + mean[base + lane];
+        let valid = 0xFFu8 >> (PANEL_ROWS - packed.panel_valid_rows(p));
+        let mv = _mm512_maskz_loadu_pd(valid, mean.as_ptr().add(base));
+        let mut f = 0;
+        // Four frames in flight share every aligned panel-column load (1
+        // load + 4 broadcasts feeding 4 independent FMA chains per
+        // coefficient), keeping the FMA ports saturated.
+        while f + 4 <= bsz {
+            let mut a: [__m512d; 4] = [_mm512_setzero_pd(); 4];
+            for j in 0..k {
+                let c = _mm512_load_pd(panel.add(j * PANEL_ROWS));
+                for (q, acc) in a.iter_mut().enumerate() {
+                    let x = _mm512_set1_pd(*alpha.add((f + q) * k + j));
+                    *acc = _mm512_fmadd_pd(c, x, *acc);
                 }
             }
+            for (q, acc) in a.iter().enumerate() {
+                let o = outs[f + q].as_mut_ptr().add(base);
+                _mm512_mask_storeu_pd(o, valid, _mm512_add_pd(*acc, mv));
+            }
+            f += 4;
+        }
+        while f < bsz {
+            let xp = alpha.add(f * k);
+            let mut acc = _mm512_setzero_pd();
+            for j in 0..k {
+                let c = _mm512_load_pd(panel.add(j * PANEL_ROWS));
+                acc = _mm512_fmadd_pd(c, _mm512_set1_pd(*xp.add(j)), acc);
+            }
+            let o = outs[f].as_mut_ptr().add(base);
+            _mm512_mask_storeu_pd(o, valid, _mm512_add_pd(acc, mv));
+            f += 1;
         }
     }
 }
@@ -964,46 +567,28 @@ unsafe fn synthesize_panels_avx512(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eigenmaps_linalg::Matrix;
 
     /// Deterministic dense test operands for an `n × k` synthesis over
-    /// `bsz` frames.
+    /// `bsz` frames: the row-major basis, the mean and the frame-major
+    /// coefficients.
     fn operands(n: usize, k: usize, bsz: usize) -> (Matrix, Vec<f64>, Vec<f64>) {
         let basis = Matrix::from_fn(n, k, |i, j| {
             ((i as f64 + 1.3) * 0.7 + (j as f64 + 0.4) * 1.9).sin() * 0.8
         });
         let mean: Vec<f64> = (0..n).map(|i| 50.0 + (i as f64 * 0.31).cos()).collect();
-        let alpha_t: Vec<f64> = (0..k * bsz)
+        let alphas: Vec<f64> = (0..k * bsz)
             .map(|x| ((x as f64) * 0.123).sin() * 3.0)
             .collect();
-        (basis, mean, alpha_t)
+        (basis, mean, alphas)
     }
 
     fn run(kind: KernelKind, n: usize, k: usize, bsz: usize) -> Vec<Vec<f64>> {
-        let (basis, mean, alpha_t) = operands(n, k, bsz);
+        let (basis, mean, alphas) = operands(n, k, bsz);
+        let packed = PackedBasis::pack(&basis);
         let mut cells: Vec<Vec<f64>> = (0..bsz).map(|_| vec![0.0; n]).collect();
         let mut outs: Vec<&mut [f64]> = cells.iter_mut().map(|c| c.as_mut_slice()).collect();
-        kind.backend()
-            .synthesize_block(&basis, &mean, &alpha_t, bsz, &mut outs);
-        cells
-    }
-
-    /// The packed+tiled entry point over the same operands, at a forced
-    /// tile size so tiny shapes still cross tile boundaries.
-    fn run_packed(
-        kind: KernelKind,
-        n: usize,
-        k: usize,
-        bsz: usize,
-        tile_panels: usize,
-    ) -> Vec<Vec<f64>> {
-        let (basis, mean, alpha_t) = operands(n, k, bsz);
-        let packed = PackedBasis::pack_with_tile_panels(&basis, tile_panels);
-        let mut cells: Vec<Vec<f64>> = (0..bsz).map(|_| vec![0.0; n]).collect();
-        let mut outs: Vec<&mut [f64]> = cells.iter_mut().map(|c| c.as_mut_slice()).collect();
-        let backend = kind.backend();
-        for tile in packed.tile_spans() {
-            backend.synthesize_panels(&packed, tile, &mean, &alpha_t, bsz, &mut outs);
-        }
+        kind.synthesize(&packed, &mean, &alphas, bsz, &mut outs);
         cells
     }
 
@@ -1016,10 +601,18 @@ mod tests {
             .collect()
     }
 
-    /// Odd shapes crossing every lane/remainder boundary: the original
-    /// 4-lane sweep, the 8-lane frame boundaries of the AVX-512 paths
-    /// (`bsz ∈ {7, 8, 9, 15, 16, 17}`), and `n` at panel and test-tile
-    /// (2 panels = 16 rows) boundaries ±1.
+    fn assert_close(want: &[Vec<f64>], got: &[Vec<f64>], context: &str) {
+        for (fw, fg) in want.iter().zip(got) {
+            for (&a, &b) in fw.iter().zip(fg) {
+                let rel = (a - b).abs() / a.abs().max(b.abs()).max(1.0);
+                assert!(rel <= 1e-10, "{context}: {a} vs {b}");
+            }
+        }
+    }
+
+    /// Odd shapes crossing every lane/remainder boundary: the 2- and
+    /// 4-frame groups of the FMA paths (`bsz ∈ 1..=5`, 7, 8, 9, 15, 16,
+    /// 17, 31, 33) and `n` at panel boundaries ±1.
     const SHAPES: [(usize, usize, usize); 19] = [
         (1, 1, 1),
         (5, 1, 7),
@@ -1043,6 +636,27 @@ mod tests {
     ];
 
     #[test]
+    fn scalar_is_bitwise_identical_to_matvec_plus_mean() {
+        // The independent row-major oracle: `vecops::dot` runs the same
+        // ascending multiply-then-add chain as the scalar backend, so the
+        // packed scalar path must reproduce `Ψ·α + mean` bit for bit.
+        for (n, k, bsz) in SHAPES {
+            let (basis, mean, alphas) = operands(n, k, bsz);
+            let got = run(KernelKind::Scalar, n, k, bsz);
+            for (f, frame) in got.iter().enumerate() {
+                let want: Vec<f64> = basis
+                    .matvec(&alphas[f * k..(f + 1) * k])
+                    .unwrap()
+                    .iter()
+                    .zip(&mean)
+                    .map(|(v, mu)| v + mu)
+                    .collect();
+                assert_eq!(frame, &want, "n={n} k={k} bsz={bsz} frame={f}");
+            }
+        }
+    }
+
+    #[test]
     fn lanes_is_bitwise_identical_to_scalar() {
         for (n, k, bsz) in SHAPES {
             let scalar = run(KernelKind::Scalar, n, k, bsz);
@@ -1057,12 +671,7 @@ mod tests {
             for (n, k, bsz) in SHAPES {
                 let scalar = run(KernelKind::Scalar, n, k, bsz);
                 let fused = run(kind, n, k, bsz);
-                for (fs, fa) in scalar.iter().zip(fused.iter()) {
-                    for (&a, &b) in fs.iter().zip(fa.iter()) {
-                        let rel = (a - b).abs() / a.abs().max(b.abs()).max(1.0);
-                        assert!(rel <= 1e-10, "{kind} n={n} k={k} bsz={bsz}: {a} vs {b}");
-                    }
-                }
+                assert_close(&scalar, &fused, &format!("{kind} n={n} k={k} bsz={bsz}"));
             }
         }
     }
@@ -1071,7 +680,7 @@ mod tests {
     fn avx512_is_bitwise_identical_to_avx2() {
         // Both FMA backends apply the identical fused per-element
         // recurrence, so where a host can run both they must agree bit
-        // for bit — through both entry points.
+        // for bit.
         if !(KernelKind::Avx2.is_available() && KernelKind::Avx512.is_available()) {
             eprintln!("skipping: host lacks avx2 or avx512");
             return;
@@ -1080,33 +689,8 @@ mod tests {
             assert_eq!(
                 run(KernelKind::Avx2, n, k, bsz),
                 run(KernelKind::Avx512, n, k, bsz),
-                "streamed n={n} k={k} bsz={bsz}"
+                "n={n} k={k} bsz={bsz}"
             );
-            assert_eq!(
-                run_packed(KernelKind::Avx2, n, k, bsz, 2),
-                run_packed(KernelKind::Avx512, n, k, bsz, 2),
-                "packed n={n} k={k} bsz={bsz}"
-            );
-        }
-    }
-
-    #[test]
-    fn packed_entry_is_bitwise_identical_to_streamed_per_backend() {
-        // The layout/tiling tentpole's core safety property: repacking
-        // and tiling change *where* data lives and *when* elements are
-        // computed, never an element's rounding chain — so packed ==
-        // streamed exactly, for every backend, at every tile size.
-        for kind in KernelKind::available() {
-            for (n, k, bsz) in SHAPES {
-                let streamed = run(kind, n, k, bsz);
-                for tile_panels in [1, 2, 100] {
-                    let packed = run_packed(kind, n, k, bsz, tile_panels);
-                    assert_eq!(
-                        streamed, packed,
-                        "kind={kind} n={n} k={k} bsz={bsz} tile_panels={tile_panels}"
-                    );
-                }
-            }
         }
     }
 
@@ -1114,22 +698,22 @@ mod tests {
     fn frames_are_position_independent_in_every_backend() {
         // The contract that makes batch == single == sharded bitwise per
         // backend: frame `f` of a block must equal the same coefficients
-        // synthesized alone (bsz = 1) — through both entry points.
+        // synthesized alone (bsz = 1).
         let (n, k, bsz) = (11, 5, 13);
+        let (basis, mean, alphas) = operands(n, k, bsz);
+        let packed = PackedBasis::pack(&basis);
         for kind in KernelKind::available() {
             let blocked = run(kind, n, k, bsz);
-            let tiled = run_packed(kind, n, k, bsz, 1);
-            let (basis, mean, alpha_t) = operands(n, k, bsz);
-            for f in 0..bsz {
-                let alpha_f: Vec<f64> = (0..k).map(|j| alpha_t[j * bsz + f]).collect();
+            for (f, frame) in blocked.iter().enumerate() {
                 let mut single = vec![0.0; n];
-                {
-                    let mut outs = [single.as_mut_slice()];
-                    kind.backend()
-                        .synthesize_block(&basis, &mean, &alpha_f, 1, &mut outs);
-                }
-                assert_eq!(blocked[f], single, "kind={kind} frame={f}");
-                assert_eq!(tiled[f], single, "packed kind={kind} frame={f}");
+                kind.synthesize(
+                    &packed,
+                    &mean,
+                    &alphas[f * k..(f + 1) * k],
+                    1,
+                    &mut [single.as_mut_slice()],
+                );
+                assert_eq!(frame, &single, "kind={kind} frame={f}");
             }
         }
     }
@@ -1137,27 +721,21 @@ mod tests {
     #[test]
     fn blocks_smaller_than_lane_width_are_exact() {
         // Regression guard for the kernel-blocking boundary: every batch
-        // smaller than LANES (and FRAME_BLOCK) must still produce each
-        // frame's reference values. The contract is *bitwise* for the
-        // scalar-recurrence backends; only the FMA-fused backends are
-        // allowed their documented rounding envelope.
+        // smaller than the frame groups in flight (and FRAME_BLOCK) must
+        // still produce each frame's reference values. The contract is
+        // *bitwise* for the scalar-recurrence backends; only the
+        // FMA-fused backends are allowed their documented rounding
+        // envelope.
         for bsz in 1..LANES + 2 {
+            let scalar = run(KernelKind::Scalar, 6, 3, bsz);
             for kind in KernelKind::available() {
                 let got = run(kind, 6, 3, bsz);
                 assert_eq!(got.len(), bsz);
-                let scalar = run(KernelKind::Scalar, 6, 3, bsz);
                 match kind {
                     KernelKind::Scalar | KernelKind::Lanes => {
                         assert_eq!(got, scalar, "kind={kind} bsz={bsz}");
                     }
-                    _ => {
-                        for (g, s) in got.iter().zip(scalar.iter()) {
-                            for (&a, &b) in g.iter().zip(s.iter()) {
-                                let rel = (a - b).abs() / a.abs().max(b.abs()).max(1.0);
-                                assert!(rel <= 1e-10, "kind={kind} bsz={bsz}: {a} vs {b}");
-                            }
-                        }
-                    }
+                    _ => assert_close(&scalar, &got, &format!("kind={kind} bsz={bsz}")),
                 }
             }
         }
@@ -1193,21 +771,21 @@ mod tests {
 
     #[test]
     fn unavailable_backend_degrades_to_a_safe_path() {
-        // backend() must never hand out unexecutable code; unavailable
-        // kinds degrade down the dispatch order (avx512 → avx2 → lanes).
-        let b = KernelKind::Avx2.backend();
-        if KernelKind::Avx2.is_available() {
-            assert_eq!(b.kind(), KernelKind::Avx2);
+        // synthesize() must never run unexecutable code; unavailable
+        // kinds resolve down the dispatch order (avx512 → avx2 → lanes).
+        assert_eq!(KernelKind::Scalar.resolved(), KernelKind::Scalar);
+        assert_eq!(KernelKind::Lanes.resolved(), KernelKind::Lanes);
+        let avx2 = if KernelKind::Avx2.is_available() {
+            KernelKind::Avx2
         } else {
-            assert_eq!(b.kind(), KernelKind::Lanes);
-        }
-        let b = KernelKind::Avx512.backend();
-        if KernelKind::Avx512.is_available() {
-            assert_eq!(b.kind(), KernelKind::Avx512);
-        } else if KernelKind::Avx2.is_available() {
-            assert_eq!(b.kind(), KernelKind::Avx2);
+            KernelKind::Lanes
+        };
+        assert_eq!(KernelKind::Avx2.resolved(), avx2);
+        let avx512 = if KernelKind::Avx512.is_available() {
+            KernelKind::Avx512
         } else {
-            assert_eq!(b.kind(), KernelKind::Lanes);
-        }
+            avx2
+        };
+        assert_eq!(KernelKind::Avx512.resolved(), avx512);
     }
 }

@@ -16,9 +16,9 @@
 //!   noisy sensors (Sec. 3.2, Theorem 1), with the sensing-matrix condition
 //!   number exposed as the placement figure of merit;
 //! * [`kernel`] — the frame-blocked synthesis kernel behind every serving
-//!   path, with scalar / portable-4-wide / AVX2+FMA / AVX-512 backends
-//!   selected by runtime dispatch ([`KernelKind`]), running over the
-//!   cache-line-aligned, L2-tiled panel layout of [`packed`];
+//!   path: one entry point ([`KernelKind::synthesize`]) with scalar /
+//!   portable / AVX2+FMA / AVX-512 backends selected by runtime dispatch,
+//!   running over the cache-line-aligned panel layout of [`packed`];
 //! * [`GreedyAllocator`] — the polynomial near-optimal sensor allocation of
 //!   Algorithm 1 (correlation-driven row elimination with a rank guard),
 //!   with [`Mask`] support for forbidden regions (Fig. 6);
@@ -100,7 +100,7 @@ pub use basis::{Basis, BasisKind, DctBasis, EigenBasis};
 pub use clock::MonotonicClock;
 pub use codec::{CodecError, CodecResult, Decoder, Encoder, SessionSnapshot};
 pub use error::{CoreError, Result};
-pub use kernel::{KernelKind, SynthesisKernel};
+pub use kernel::KernelKind;
 pub use map::{MapEnsemble, ThermalMap};
 pub use metrics::{
     evaluate_approximation, evaluate_hotspot_detection, evaluate_reconstruction, ErrorReport,
@@ -123,7 +123,7 @@ pub mod prelude {
     pub use crate::basis::{Basis, BasisKind, DctBasis, EigenBasis};
     pub use crate::clock::MonotonicClock;
     pub use crate::error::{CoreError, Result};
-    pub use crate::kernel::{KernelKind, SynthesisKernel};
+    pub use crate::kernel::KernelKind;
     pub use crate::map::{MapEnsemble, ThermalMap};
     pub use crate::metrics::{
         evaluate_approximation, evaluate_hotspot_detection, evaluate_reconstruction, ErrorReport,

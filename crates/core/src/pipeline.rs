@@ -425,7 +425,7 @@ pub struct Deployment {
 impl Deployment {
     /// Builds the runtime state from the persisted pieces. Everything the
     /// hot path needs beyond the artifact — the QR factorization *and*
-    /// the packed, L2-tiled basis panels ([`crate::PackedBasis`]) — is
+    /// the packed basis panels ([`crate::PackedBasis`]) — is
     /// derived here, which is why design, `load`/`from_bytes` and
     /// `truncated` all produce identically-behaving deployments while the
     /// `EMDEPLOY` wire format stores only the raw basis.
@@ -444,7 +444,8 @@ impl Deployment {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::ShapeMismatch`] if `readings.len() != m()`.
+    /// Returns [`CoreError::ShapeMismatch`] if `readings.len() != m()` and
+    /// [`CoreError::NonFiniteReading`] if any reading is NaN or ±inf.
     pub fn reconstruct(&self, readings: &[f64]) -> Result<ThermalMap> {
         self.rec.reconstruct(readings)
     }
@@ -456,7 +457,8 @@ impl Deployment {
     /// # Errors
     ///
     /// Returns [`CoreError::ShapeMismatch`] if any frame has the wrong
-    /// number of readings.
+    /// number of readings and [`CoreError::NonFiniteReading`] if any
+    /// reading is NaN or ±inf.
     pub fn reconstruct_batch(&self, frames: &[Vec<f64>]) -> Result<Vec<ThermalMap>> {
         self.rec.reconstruct_batch(frames)
     }

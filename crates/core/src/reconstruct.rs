@@ -4,7 +4,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use eigenmaps_linalg::{Matrix, Qr, Svd};
+use eigenmaps_linalg::{Qr, Svd};
 
 use crate::basis::Basis;
 use crate::error::{CoreError, Result};
@@ -40,21 +40,17 @@ pub fn shard_spans(frames: usize, shards: usize) -> Vec<Range<usize>> {
 
 /// Reusable scratch buffers for [`Reconstructor::reconstruct_batch_with`].
 ///
-/// Holds the per-batch coefficient and transpose buffers so a serving loop
-/// (or a sharded worker thread) pays the allocations once and reuses them
-/// across every batch it processes. The default value is an empty scratch
-/// that grows to fit the first batch.
+/// Holds the per-batch coefficient buffers so a serving loop (or a sharded
+/// worker thread) pays the allocations once and reuses them across every
+/// batch it processes. The default value is an empty scratch that grows to
+/// fit the first batch.
 #[derive(Debug, Clone, Default)]
 pub struct BatchScratch {
-    /// Frame-major least-squares coefficients (`frames × K`).
+    /// Frame-major least-squares coefficients (`frames × K`), read by the
+    /// synthesis kernel as they are.
     alphas: Vec<f64>,
     /// Mean-centered readings for the solve (`M`).
     centered: Vec<f64>,
-    /// Frame-transposed coefficients for *all* blocks of the batch
-    /// (`frames × K`, every block transposed up front) — the L2-tiled
-    /// synthesis sweeps each basis tile across the whole batch, so all
-    /// blocks' coefficients must be live at once.
-    alpha_t: Vec<f64>,
 }
 
 impl BatchScratch {
@@ -99,11 +95,10 @@ impl BatchScratch {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Reconstructor {
-    basis_matrix: Matrix,
     /// The basis repacked into cache-line-aligned row panels for the
-    /// synthesis hot path — **derived state**, rebuilt from
-    /// `basis_matrix` at construction (never serialized; the `EMDEPLOY`
-    /// wire format is unchanged). `Arc` so the per-worker `Reconstructor`
+    /// synthesis hot path — **derived state**, packed from the basis
+    /// matrix at construction (never serialized; the `EMDEPLOY` wire
+    /// format is unchanged). `Arc` so the per-worker `Reconstructor`
     /// clones of a serving fleet share one multi-megabyte panel buffer.
     packed: Arc<PackedBasis>,
     mean: Vec<f64>,
@@ -161,7 +156,6 @@ impl Reconstructor {
         let mean = basis.mean().to_vec();
         let mean_at_sensors = sensors.locations().iter().map(|&i| mean[i]).collect();
         Ok(Reconstructor {
-            basis_matrix: basis.matrix().clone(),
             packed: Arc::new(PackedBasis::pack(basis.matrix())),
             mean,
             mean_at_sensors,
@@ -177,13 +171,6 @@ impl Reconstructor {
     /// The sensor layout this reconstructor was built for.
     pub fn sensors(&self) -> &SensorSet {
         &self.sensors
-    }
-
-    /// The packed, L2-tiled panel layout of the synthesis basis that the
-    /// serving paths run over (see [`PackedBasis`]). Derived from the
-    /// basis at construction; shared (`Arc`) across clones.
-    pub fn packed_basis(&self) -> &Arc<PackedBasis> {
-        &self.packed
     }
 
     /// Which synthesis backend this reconstructor runs (the
@@ -220,7 +207,7 @@ impl Reconstructor {
 
     /// Subspace dimension `K`.
     pub fn k(&self) -> usize {
-        self.basis_matrix.cols()
+        self.packed.cols()
     }
 
     /// Condition number `κ(Ψ̃_K)` of the sensing matrix — the noise
@@ -236,16 +223,12 @@ impl Reconstructor {
     /// # Errors
     ///
     /// * [`CoreError::ShapeMismatch`] if `readings.len() != M`.
+    /// * [`CoreError::NonFiniteReading`] if any reading is NaN or ±inf
+    ///   (see [`SensorSet::check_readings`]).
     /// * Propagated solver failures (excluded by the rank check in
     ///   [`Reconstructor::new`]).
     pub fn coefficients(&self, readings: &[f64]) -> Result<Vec<f64>> {
-        if readings.len() != self.sensors.len() {
-            return Err(CoreError::ShapeMismatch {
-                context: "reconstruct readings",
-                expected: self.sensors.len(),
-                found: readings.len(),
-            });
-        }
+        self.sensors.check_readings(readings)?;
         let centered: Vec<f64> = readings
             .iter()
             .zip(self.mean_at_sensors.iter())
@@ -259,8 +242,8 @@ impl Reconstructor {
     /// coefficient state).
     ///
     /// Runs the same dispatched [`crate::kernel`] backend over the same
-    /// packed+tiled panels as the batch paths (as a one-frame block),
-    /// which is what keeps [`Reconstructor::reconstruct_batch`] bitwise
+    /// packed panels as the batch paths (as a one-frame block), which is
+    /// what keeps [`Reconstructor::reconstruct_batch`] bitwise
     /// identical to per-frame reconstruction under *every* backend —
     /// including the FMA-fused AVX2/AVX-512 ones.
     ///
@@ -276,14 +259,13 @@ impl Reconstructor {
             });
         }
         let mut cells = vec![0.0; self.rows * self.cols];
-        {
-            // A one-frame block: `alpha` transposed at bsz = 1 is itself.
-            let backend = self.kernel.backend();
-            let mut outs = [cells.as_mut_slice()];
-            for tile in self.packed.tile_spans() {
-                backend.synthesize_panels(&self.packed, tile, &self.mean, alpha, 1, &mut outs);
-            }
-        }
+        self.kernel.synthesize(
+            &self.packed,
+            &self.mean,
+            alpha,
+            1,
+            &mut [cells.as_mut_slice()],
+        );
         ThermalMap::new(self.rows, self.cols, cells)
     }
 
@@ -303,22 +285,21 @@ impl Reconstructor {
     /// Compared with calling [`Reconstructor::reconstruct`] per frame this
     /// reuses the factored QR's scratch buffers across frames (no per-frame
     /// solver allocations) and synthesizes maps in
-    /// [`FRAME_BLOCK`]-frame blocks over the packed, L2-tiled basis panels
+    /// [`FRAME_BLOCK`]-frame blocks over the packed basis panels
     /// ([`PackedBasis`]) through the dispatched [`crate::kernel`] backend:
     /// each aligned panel column is loaded once and multiplied into
-    /// several frames' coefficients at a time, independent accumulator
-    /// chains hide the floating-point latency that bounds the
-    /// one-dot-per-row single-frame path, and basis tiles loop outermost
-    /// so a tile stays L2-resident across the whole batch. Every backend
-    /// applies one fixed per-frame recurrence in ascending-`k` order
-    /// regardless of block position or tiling, so the returned maps are
-    /// **bitwise identical** to per-frame reconstruction under the same
-    /// [`Reconstructor::kernel_kind`].
+    /// several frames' coefficients at a time, and independent accumulator
+    /// chains hide the floating-point latency of a single dot product.
+    /// Every backend applies one fixed per-frame recurrence in
+    /// ascending-`k` order regardless of block position, so the returned
+    /// maps are **bitwise identical** to per-frame reconstruction under
+    /// the same [`Reconstructor::kernel_kind`].
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::ShapeMismatch`] if any frame's length differs
-    /// from `M`; propagates solver failures.
+    /// from `M` and [`CoreError::NonFiniteReading`] if any reading is NaN
+    /// or ±inf — before any frame is solved; propagates solver failures.
     pub fn reconstruct_batch(&self, frames: &[Vec<f64>]) -> Result<Vec<ThermalMap>> {
         self.reconstruct_batch_with(frames, &mut BatchScratch::new())
     }
@@ -344,13 +325,7 @@ impl Reconstructor {
         let k = self.k();
         let n = self.rows * self.cols;
         for readings in frames {
-            if readings.len() != m {
-                return Err(CoreError::ShapeMismatch {
-                    context: "reconstruct_batch readings",
-                    expected: m,
-                    found: readings.len(),
-                });
-            }
+            self.sensors.check_readings(readings)?;
         }
 
         // Phase 1: per-frame least-squares coefficients, frame-major. The
@@ -372,47 +347,19 @@ impl Reconstructor {
                 .solve_lstsq_into(centered, &mut alphas[f * k..(f + 1) * k])?;
         }
 
-        // Phase 2: packed, L2-tiled synthesis Ψ_K α + mean through the
-        // dispatched kernel backend. Every block's coefficients are
-        // transposed frame-contiguous up front (block b's slice is
-        // `j`-major with stride bsz at offset b·FRAME_BLOCK·K), then the
-        // basis tiles loop OUTERMOST with the frame blocks inside: one
-        // tile's panels are read from memory once and served from L2
-        // across every block of the batch, instead of the whole N×K basis
-        // being streamed through cache once per block. Tiling reorders
-        // only the output-row loop — each frame's ascending-`j` recurrence
-        // is untouched — so the backend's position-independence contract
-        // keeps every frame's rounding identical to a single-frame
-        // synthesis.
-        let backend = self.kernel.backend();
+        // Phase 2: packed synthesis Ψ_K α + mean through the dispatched
+        // kernel backend, FRAME_BLOCK frames at a time, straight from the
+        // frame-major coefficients. The backend's position-independence
+        // contract keeps every frame's rounding identical to a
+        // single-frame synthesis.
         let mut cells: Vec<Vec<f64>> = frames.iter().map(|_| vec![0.0; n]).collect();
-        scratch.alpha_t.resize(frames.len() * k, 0.0);
-        let alpha_t = &mut scratch.alpha_t;
-        for block_start in (0..frames.len()).step_by(FRAME_BLOCK) {
-            let bsz = (frames.len() - block_start).min(FRAME_BLOCK);
-            let block = &mut alpha_t[block_start * k..(block_start + bsz) * k];
-            for f in 0..bsz {
-                for (j, &a) in alphas[(block_start + f) * k..(block_start + f + 1) * k]
-                    .iter()
-                    .enumerate()
-                {
-                    block[j * bsz + f] = a;
-                }
-            }
-        }
         let mut outs: Vec<&mut [f64]> = cells.iter_mut().map(|c| c.as_mut_slice()).collect();
-        for tile in self.packed.tile_spans() {
-            for block_start in (0..frames.len()).step_by(FRAME_BLOCK) {
-                let bsz = (frames.len() - block_start).min(FRAME_BLOCK);
-                backend.synthesize_panels(
-                    &self.packed,
-                    tile.clone(),
-                    &self.mean,
-                    &alpha_t[block_start * k..(block_start + bsz) * k],
-                    bsz,
-                    &mut outs[block_start..block_start + bsz],
-                );
-            }
+        for (block, alpha) in outs
+            .chunks_mut(FRAME_BLOCK)
+            .zip(alphas.chunks(FRAME_BLOCK * k))
+        {
+            self.kernel
+                .synthesize(&self.packed, &self.mean, alpha, block.len(), block);
         }
         cells
             .into_iter()

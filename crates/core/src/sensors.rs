@@ -206,6 +206,31 @@ impl SensorSet {
         self.locations.iter().map(|&i| cells[i]).collect()
     }
 
+    /// Validates one interval's readings against this layout: exactly `M`
+    /// values, every one finite. Every path where readings enter the
+    /// system runs this before touching any state, so a NaN or ±inf
+    /// reading is refused with a typed error instead of silently turning
+    /// every cell of a map (or every later step of a tracker) into NaN.
+    ///
+    /// # Errors
+    ///
+    /// * [`CoreError::ShapeMismatch`] if `readings.len() != M`.
+    /// * [`CoreError::NonFiniteReading`] naming the first sensor index
+    ///   whose reading is NaN or ±inf.
+    pub fn check_readings(&self, readings: &[f64]) -> Result<()> {
+        if readings.len() != self.len() {
+            return Err(CoreError::ShapeMismatch {
+                context: "sensor readings",
+                expected: self.len(),
+                found: readings.len(),
+            });
+        }
+        match readings.iter().position(|x| !x.is_finite()) {
+            Some(sensor) => Err(CoreError::NonFiniteReading { sensor }),
+            None => Ok(()),
+        }
+    }
+
     /// Checks that every sensor respects a mask.
     pub fn respects(&self, mask: &Mask) -> bool {
         self.locations.iter().all(|&i| mask.is_allowed(i))
@@ -296,6 +321,26 @@ mod tests {
         let s = SensorSet::from_positions(3, 3, &[(0, 0), (2, 1)]).unwrap();
         assert_eq!(s.sample(&map), vec![0.0, 21.0]);
         assert_eq!(s.sample_slice(map.as_slice()), vec![0.0, 21.0]);
+    }
+
+    #[test]
+    fn check_readings_names_the_first_bad_sensor() {
+        let s = SensorSet::new(4, 4, vec![0, 5, 10]).unwrap();
+        assert_eq!(s.check_readings(&[1.0, -2.0, 3.5]), Ok(()));
+        assert!(matches!(
+            s.check_readings(&[1.0, 2.0]),
+            Err(CoreError::ShapeMismatch {
+                expected: 3,
+                found: 2,
+                ..
+            })
+        ));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                s.check_readings(&[1.0, bad, bad]),
+                Err(CoreError::NonFiniteReading { sensor: 1 })
+            );
+        }
     }
 
     #[test]

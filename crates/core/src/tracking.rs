@@ -150,7 +150,10 @@ impl TrackingReconstructor {
     ///
     /// # Errors
     ///
-    /// Propagates [`Reconstructor::coefficients`] failures.
+    /// Propagates [`Reconstructor::coefficients`] failures — including
+    /// [`CoreError::NonFiniteReading`] — and leaves the state and the frame
+    /// counter untouched when it does, so a refused step is as if it had
+    /// never been submitted.
     pub fn step(&mut self, readings: &[f64]) -> Result<ThermalMap> {
         let alpha_ls = self.inner.coefficients(readings)?;
         let state = match self.state.take() {

@@ -231,6 +231,62 @@ fn session_survives_snapshot_server_restart_and_resume_over_the_wire() {
 }
 
 #[test]
+fn non_finite_readings_are_bad_requests_and_the_connection_keeps_serving() {
+    let fleet = fleet();
+    let server = Arc::new(Server::new(Arc::clone(&fleet.registry), 2));
+    let (addr, handle, join) = spawn_door(server);
+    let mut client = Client::connect(addr).expect("connect");
+    let expect_bad_request = |err: NetError| match &err {
+        NetError::Server { status, message } => {
+            assert_eq!(*status, WireStatus::BadRequest);
+            assert!(message.contains("sensor 1"), "got: {message}");
+            assert!(!err.is_retryable());
+        }
+        other => panic!("expected a server error, got {other:?}"),
+    };
+
+    // A batch carrying one NaN among clean frames is refused as a whole...
+    let mut poisoned = fleet.frames[0].clone();
+    poisoned[3][1] = f64::NAN;
+    expect_bad_request(
+        client
+            .submit_batch(fleet.names[0], poisoned)
+            .expect_err("NaN reading must be refused"),
+    );
+    // ...and the next request on the same connection is served bitwise.
+    let truth = fleet.deployments[0]
+        .reconstruct_batch(&fleet.frames[0])
+        .unwrap();
+    let maps = client
+        .submit_batch(fleet.names[0], fleet.frames[0].clone())
+        .expect("clean batch after a refusal")
+        .maps;
+    for (i, map) in maps.iter().enumerate() {
+        assert_bitwise(map, &truth[i], "batch after refusal");
+    }
+
+    // A session step with an infinite reading is refused without touching
+    // the session: the stream continues bitwise-equal to a reference that
+    // never saw it.
+    let mut reference = TrackerSession::open(&fleet.registry, fleet.names[0], 0.6).unwrap();
+    let info = client.open_session(fleet.names[0], 0.6).expect("open");
+    for (t, readings) in fleet.frames[0][..6].iter().enumerate() {
+        if t == 3 {
+            let mut bad = readings.clone();
+            bad[1] = f64::INFINITY;
+            expect_bad_request(client.step(info.session, bad).expect_err("inf refused"));
+        }
+        let want = reference.step(readings).unwrap();
+        let got = client.step(info.session, readings.clone()).expect("step");
+        assert_bitwise(&got, &want, "step after refusal");
+    }
+    client.close_session(info.session).unwrap();
+
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+#[test]
 fn corrupt_and_oversized_frames_reject_without_tearing_down_the_connection() {
     let fleet = fleet();
     let server = Arc::new(Server::new(Arc::clone(&fleet.registry), 1));

@@ -48,7 +48,7 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use eigenmaps_core::{CoreError, Deployment, ThermalMap, TrackingReconstructor};
+use eigenmaps_core::{Deployment, ThermalMap, TrackingReconstructor};
 
 use crate::error::{Result, ServeError};
 use crate::metrics::ServeMetrics;
@@ -637,7 +637,8 @@ impl Server {
     /// # Errors
     ///
     /// * [`ServeError::UnknownDeployment`] for an unresolved name.
-    /// * [`ServeError::Core`] for frames with the wrong reading count.
+    /// * [`ServeError::Core`] for frames with the wrong reading count or a
+    ///   non-finite reading, refused before the request is queued.
     /// * [`ServeError::Terminated`] if the server is shutting down.
     pub fn submit(&self, request: ServeRequest) -> Result<Ticket> {
         self.enqueue(request, false)
@@ -701,15 +702,10 @@ impl Server {
 
     fn enqueue(&self, request: ServeRequest, admission_control: bool) -> Result<Ticket> {
         let (version, deployment) = self.registry.latest_versioned(&request.deployment)?;
-        let m = deployment.m();
+        // Refuse malformed readings here, per request: once coalesced,
+        // one bad frame would fail every request sharing its batch.
         for readings in &request.frames {
-            if readings.len() != m {
-                return Err(ServeError::Core(CoreError::ShapeMismatch {
-                    context: "serve request readings",
-                    expected: m,
-                    found: readings.len(),
-                }));
-            }
+            deployment.sensors().check_readings(readings)?;
         }
         // Gauge up before handing the request to the batcher: the flush
         // path decrements, and decrement-before-increment would wedge the
@@ -1638,14 +1634,21 @@ mod tests {
 
     #[test]
     fn malformed_frames_rejected_at_submit() {
-        let (registry, _, _) = fixture(0);
+        let (registry, _, frames) = fixture(3);
         let server = Server::new(registry, 1);
         assert!(matches!(
             server.serve("chip", vec![vec![1.0, 2.0]]),
             Err(ServeError::Core(CoreError::ShapeMismatch { .. }))
         ));
-        // The rejected request never entered the queue.
+        let mut poisoned = frames.clone();
+        poisoned[2][1] = f64::INFINITY;
+        assert!(matches!(
+            server.serve("chip", poisoned),
+            Err(ServeError::Core(CoreError::NonFiniteReading { sensor: 1 }))
+        ));
+        // The rejected requests never entered the queue.
         assert_eq!(server.metrics().requests, 0);
+        assert_eq!(server.serve("chip", frames).unwrap().len(), 3);
     }
 
     #[test]

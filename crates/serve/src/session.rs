@@ -391,22 +391,16 @@ impl TrackerSession {
     ///
     /// # Errors
     ///
-    /// * [`ServeError::Core`] for a wrong-length
-    ///   readings vector (checked up front — a malformed step is refused,
-    ///   not enqueued) or, standalone, for a failed step.
+    /// * [`ServeError::Core`] for a wrong-length readings vector or a
+    ///   non-finite reading (checked up front — a malformed step is
+    ///   refused, not enqueued, and the session state is untouched) or,
+    ///   standalone, for a failed step.
     /// * [`ServeError::Saturated`] when this
     ///   session already has `max_pending_per_tenant` steps in flight.
     /// * [`ServeError::Terminated`] if the
     ///   server shut down.
     pub fn submit_step(&self, readings: &[f64]) -> Result<StepTicket> {
-        let m = self.deployment.m();
-        if readings.len() != m {
-            return Err(ServeError::Core(eigenmaps_core::CoreError::ShapeMismatch {
-                context: "session step readings",
-                expected: m,
-                found: readings.len(),
-            }));
-        }
+        self.deployment.sensors().check_readings(readings)?;
         let Some(door) = &self.door else {
             // Standalone: execute inline (the bitwise reference path) and
             // hand back an already-completed ticket.

@@ -13,13 +13,12 @@
 //!
 //! Inside each shard, the worker runs the deployment's dispatched SIMD
 //! synthesis kernel ([`eigenmaps_core::kernel`]) on its own scratch, over
-//! the deployment's packed, L2-tiled basis panels
-//! ([`eigenmaps_core::PackedBasis`] — built once at design/load time and
-//! shared by every worker's `Reconstructor` clone through an `Arc`, so a
-//! multi-megabyte panel buffer exists once per artifact, not once per
-//! worker). The levels of parallelism compose — threads across frame
-//! shards, SIMD lanes across each panel's rows, basis tiles serving from
-//! L2 across each shard's blocks — and a forced backend
+//! the deployment's packed basis panels ([`eigenmaps_core::PackedBasis`]
+//! — built once at design/load time and shared by every worker's
+//! `Reconstructor` clone through an `Arc`, so a multi-megabyte panel
+//! buffer exists once per artifact, not once per worker). The levels of
+//! parallelism compose — threads across frame shards, SIMD lanes across
+//! each panel's rows — and a forced backend
 //! ([`Deployment::set_kernel`]) set before publishing is what every
 //! worker executes.
 //!
@@ -139,8 +138,8 @@ impl ShardedExecutor {
     ///
     /// # Errors
     ///
-    /// * [`ServeError::Core`] if any frame has the wrong reading count
-    ///   (checked up front) or reconstruction fails; the lowest-numbered
+    /// * [`ServeError::Core`] if any frame has the wrong reading count or
+    ///   a non-finite reading (checked up front) or reconstruction fails; the lowest-numbered
     ///   failing shard's error is reported.
     /// * [`ServeError::Terminated`] if the worker pool has died.
     pub fn execute(
@@ -148,15 +147,8 @@ impl ShardedExecutor {
         deployment: &Arc<Deployment>,
         frames: &Arc<Vec<Vec<f64>>>,
     ) -> Result<Vec<ThermalMap>> {
-        let m = deployment.m();
         for readings in frames.iter() {
-            if readings.len() != m {
-                return Err(ServeError::Core(CoreError::ShapeMismatch {
-                    context: "sharded execute readings",
-                    expected: m,
-                    found: readings.len(),
-                }));
-            }
+            deployment.sensors().check_readings(readings)?;
         }
         if frames.is_empty() {
             return Ok(Vec::new());
@@ -363,6 +355,13 @@ mod tests {
         assert!(matches!(
             ex.execute(&d, &frames),
             Err(ServeError::Core(CoreError::ShapeMismatch { .. }))
+        ));
+        let (d, frames) = deployment_and_frames(3);
+        let mut poisoned = (*frames).clone();
+        poisoned[1][0] = f64::NAN;
+        assert!(matches!(
+            ex.execute(&d, &Arc::new(poisoned)),
+            Err(ServeError::Core(CoreError::NonFiniteReading { sensor: 0 }))
         ));
     }
 

@@ -514,6 +514,83 @@ proptest! {
     }
 
     #[test]
+    fn non_finite_readings_are_refused_and_leave_sessions_untouched(
+        ens in ensemble_strategy(),
+        sensor_frac in 0.0f64..1.0,
+        which in 0u8..3,
+        cut in 0usize..=6,
+        scheduled_path in 0u8..2,
+    ) {
+        // The input domain is closed: a NaN or ±inf at any sensor index
+        // is refused with the typed error naming that index — by the
+        // single-frame, batch, tracker and session paths alike — and a
+        // session that was fed it stays bitwise-equal (maps and EMSESS1
+        // snapshot) to one that never saw it.
+        use eigenmaps::serve::{ServeError, TrackerSession};
+        let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][usize::from(which)];
+        let k = 2.min(ens.cells());
+        let deployment = Pipeline::new(&ens)
+            .basis(BasisSpec::EigenExact { k })
+            .sensors((k + 2).min(ens.cells()))
+            .design()
+            .unwrap();
+        let m = deployment.m();
+        let sensor = ((sensor_frac * m as f64) as usize).min(m - 1);
+        let frames: Vec<Vec<f64>> = (0..12)
+            .map(|t| deployment.sensors().sample(&ens.map(t % ens.len())))
+            .collect();
+        let mut poisoned = frames[cut].clone();
+        poisoned[sensor] = bad;
+        let want = CoreError::NonFiniteReading { sensor };
+
+        prop_assert_eq!(deployment.reconstruct(&poisoned), Err(want.clone()));
+        let mut batch = frames.clone();
+        batch[cut] = poisoned.clone();
+        prop_assert_eq!(deployment.reconstruct_batch(&batch), Err(want.clone()));
+
+        let mut tracker = deployment.tracker(0.5).unwrap();
+        for readings in &frames[..cut] {
+            tracker.step(readings).unwrap();
+        }
+        let (state, count) = (tracker.export_state(), tracker.frames());
+        prop_assert_eq!(tracker.step(&poisoned), Err(want.clone()));
+        prop_assert_eq!(tracker.export_state(), state);
+        prop_assert_eq!(tracker.frames(), count);
+
+        let registry = Arc::new(DeploymentRegistry::new());
+        registry.publish("chip", deployment.clone());
+        let server = if scheduled_path == 1 {
+            Some(Server::new(Arc::clone(&registry), 2))
+        } else {
+            None
+        };
+        let open = || -> TrackerSession {
+            match &server {
+                Some(server) => server.open_session("chip", 0.5).unwrap(),
+                None => TrackerSession::open(&registry, "chip", 0.5).unwrap(),
+            }
+        };
+        let (mut clean, mut fed) = (open(), open());
+        for readings in &frames[..cut] {
+            clean.step(readings).unwrap();
+            fed.step(readings).unwrap();
+        }
+        let before = fed.snapshot();
+        match fed.step(&poisoned) {
+            Err(ServeError::Core(e)) => prop_assert_eq!(e, want.clone()),
+            other => prop_assert!(false, "expected the typed refusal, got {:?}", other.err()),
+        }
+        prop_assert_eq!(fed.snapshot(), before);
+        for (t, readings) in frames[cut..].iter().enumerate() {
+            let a = clean.step(readings).unwrap();
+            let b = fed.step(readings).unwrap();
+            prop_assert!(a.as_slice() == b.as_slice(), "diverged {} steps after the refusal", t);
+        }
+        prop_assert_eq!(fed.snapshot(), clean.snapshot());
+        prop_assert!(TrackerSession::resume(&registry, &fed.snapshot()).is_ok());
+    }
+
+    #[test]
     fn emsess1_corruption_and_truncation_always_rejected(
         ens in ensemble_strategy(),
         steps in 0usize..5,
