@@ -242,6 +242,11 @@ impl Encoder {
         self
     }
 
+    /// Appends a UTF-8 string as `len: u64` plus its bytes (names).
+    pub fn str(&mut self, s: &str) -> &mut Self {
+        self.put_len(s.len()).bytes(s.as_bytes())
+    }
+
     /// Appends one `f64`.
     pub fn f64(&mut self, v: f64) -> &mut Self {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -371,6 +376,20 @@ impl<'a> Decoder<'a> {
         usize::try_from(v).map_err(|_| CodecError {
             context: "length exceeds addressable size",
         })
+    }
+
+    /// Reads a string written by [`Encoder::str`].
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError`] on truncation or invalid UTF-8.
+    pub fn str(&mut self) -> CodecResult<String> {
+        let len = self.take_len()?;
+        std::str::from_utf8(self.take(len)?)
+            .map(str::to_owned)
+            .map_err(|_| CodecError {
+                context: "string is not UTF-8",
+            })
     }
 
     /// Reads one `f64`.

@@ -14,10 +14,10 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use eigenmaps_core::ThermalMap;
+use eigenmaps_serve::MetricsSnapshot;
 
 use crate::protocol::{
-    EncodeError, FrameBuffer, Request, Response, WireError, WireMetrics, WireStatus, WireTrace,
-    MAX_FRAME_BYTES,
+    EncodeError, FrameBuffer, Request, Response, WireError, WireStatus, WireTrace, MAX_FRAME_BYTES,
 };
 
 /// What a [`Client`] call can fail with.
@@ -369,12 +369,15 @@ impl Client {
         }
     }
 
-    /// Fetches the server's metrics snapshot, wire gauges included.
+    /// Fetches the server's whole metrics snapshot — the same
+    /// [`MetricsSnapshot`] `Server::metrics` returns in process, wire
+    /// gauges, per-tenant stage histograms and per-shard counters
+    /// included.
     ///
     /// # Errors
     ///
     /// Any [`NetError`].
-    pub fn metrics(&mut self) -> Result<WireMetrics, NetError> {
+    pub fn metrics(&mut self) -> Result<MetricsSnapshot, NetError> {
         match self.call(&Request::Metrics)? {
             Response::Metrics(metrics) => Ok(*metrics),
             _ => Err(NetError::UnexpectedReply {
@@ -384,7 +387,8 @@ impl Client {
     }
 
     /// Fetches the server's flight-recorder snapshot: the stage-event
-    /// ring plus per-tenant stage quantiles and slow-request exemplars.
+    /// ring plus per-tenant slow-request exemplars. Per-tenant stage
+    /// latencies are histograms in [`Client::metrics`].
     ///
     /// # Errors
     ///

@@ -53,8 +53,8 @@ use eigenmaps_serve::{
 };
 
 use crate::protocol::{
-    status_of, FrameBuffer, Request, Response, WireError, WireExemplar, WireMap, WireMetrics,
-    WireStage, WireStatus, WireTenantTrace, WireTrace, WireTraceEvent, MAX_FRAME_BYTES,
+    status_of, FrameBuffer, Request, Response, WireError, WireExemplar, WireMap, WireStage,
+    WireStatus, WireTenantTrace, WireTrace, WireTraceEvent, MAX_FRAME_BYTES,
 };
 use crate::sys::{Interest, Poller, Waker};
 
@@ -706,25 +706,7 @@ fn dispatch(
             }
         }
         Request::Metrics => {
-            let snap = server.metrics();
-            let reply = Response::Metrics(Box::new(WireMetrics {
-                requests: snap.requests,
-                frames: snap.frames,
-                batches: snap.batches,
-                errors: snap.errors,
-                session_steps: snap.session_steps,
-                sessions_open: snap.sessions_open,
-                max_sessions_open: snap.max_sessions_open,
-                latency_p50_ns: snap.latency_p50.as_nanos() as u64,
-                latency_p99_ns: snap.latency_p99.as_nanos() as u64,
-                shed: snap.shed,
-                degraded: snap.degraded,
-                brownout: u64::from(snap.brownout),
-                brownout_entries: snap.brownout_entries,
-                wire: snap.wire,
-                latency_buckets: snap.latency_buckets,
-                session_latency_buckets: snap.session_latency_buckets,
-            }));
+            let reply = Response::Metrics(Box::new(server.metrics()));
             conn.enqueue(seal_reply(reply, id, metrics), metrics);
         }
         Request::Trace => {
@@ -751,8 +733,7 @@ fn dispatch(
 }
 
 /// Assembles the wire form of the flight recorder: the event ring plus
-/// per-tenant stage quantiles (from [`ServeMetrics`]) and slow-request
-/// exemplars (from the recorder's exemplar store).
+/// the per-tenant slow-request exemplars (tenants sorted by name).
 fn flight_snapshot(server: &Arc<Server>) -> WireTrace {
     let recorder = server.recorder();
     let ring = recorder.snapshot();
@@ -767,37 +748,14 @@ fn flight_snapshot(server: &Arc<Server>) -> WireTrace {
             at_ns: event.at.as_nanos() as u64,
         })
         .collect();
-    let mut exemplars = recorder.exemplars();
-    let snap = server.metrics();
-    let mut tenants: Vec<WireTenantTrace> = snap
-        .tenants
-        .iter()
-        .map(|(name, tenant)| WireTenantTrace {
-            tenant: name.clone(),
-            queue_wait_p50_ns: tenant.queue_wait.quantile(0.5).as_nanos() as u64,
-            queue_wait_p99_ns: tenant.queue_wait.quantile(0.99).as_nanos() as u64,
-            execute_p50_ns: tenant.execute.quantile(0.5).as_nanos() as u64,
-            execute_p99_ns: tenant.execute.quantile(0.99).as_nanos() as u64,
-            respond_p50_ns: tenant.respond.quantile(0.5).as_nanos() as u64,
-            respond_p99_ns: tenant.respond.quantile(0.99).as_nanos() as u64,
-            exemplars: exemplars
-                .remove(name)
-                .unwrap_or_default()
-                .into_iter()
-                .map(wire_exemplar)
-                .collect(),
+    let tenants = recorder
+        .exemplars()
+        .into_iter()
+        .map(|(tenant, kept)| WireTenantTrace {
+            tenant,
+            exemplars: kept.into_iter().map(wire_exemplar).collect(),
         })
         .collect();
-    // Tenants whose only footprint is an exemplar (no finished stage
-    // histograms yet) still travel.
-    for (name, rest) in exemplars {
-        tenants.push(WireTenantTrace {
-            tenant: name,
-            exemplars: rest.into_iter().map(wire_exemplar).collect(),
-            ..WireTenantTrace::default()
-        });
-    }
-    tenants.sort_by(|a, b| a.tenant.cmp(&b.tenant));
     WireTrace {
         written: ring.written,
         dropped: ring.dropped,

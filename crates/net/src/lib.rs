@@ -58,8 +58,7 @@ pub use client::{BatchReply, Client, NetError, SessionInfo};
 pub use door::{DoorHandle, NetConfig, NetServer};
 pub use protocol::{
     status_of, DecodeFailure, EncodeError, FrameBuffer, Request, Response, WireError, WireExemplar,
-    WireMap, WireMetrics, WireStage, WireStatus, WireTenantTrace, WireTrace, WireTraceEvent,
-    MAX_FRAME_BYTES,
+    WireMap, WireStage, WireStatus, WireTenantTrace, WireTrace, WireTraceEvent, MAX_FRAME_BYTES,
 };
 
 /// Convenience glob import for the network edge.
@@ -67,7 +66,7 @@ pub mod prelude {
     pub use crate::client::{BatchReply, Client, NetError, SessionInfo};
     pub use crate::door::{DoorHandle, NetConfig, NetServer};
     pub use crate::protocol::{
-        EncodeError, FrameBuffer, Request, Response, WireError, WireExemplar, WireMap, WireMetrics,
-        WireStage, WireStatus, WireTenantTrace, WireTrace, WireTraceEvent,
+        EncodeError, FrameBuffer, Request, Response, WireError, WireExemplar, WireMap, WireStage,
+        WireStatus, WireTenantTrace, WireTrace, WireTraceEvent,
     };
 }

@@ -47,8 +47,8 @@
 //! | `0x85` | `Snapshot`      | ← | `len: u64`, `EMSESS1 bytes × len` |
 //! | `0x86` | `Catalog`       | ← | `count: u64`, then per entry `name: str`, `versions: u64`, `u32 × versions` |
 //! | `0x87` | `Published`     | ← | `version: u32` |
-//! | `0x88` | `Metrics`       | ← | [`WireMetrics`]: the headline scalars — including the QoS counters `shed`, `degraded`, `brownout` (0/1 gauge) and `brownout_entries` — and wire gauges in declaration order (`u64` each, durations in ns), the per-reason reap counters, then the raw request- and session-latency histograms (each `count: u64`, `u64 × count` bucket counts, `samples: u64`, `total_ns: u64`) |
-//! | `0x89` | `Trace`         | ← | [`WireTrace`]: `written: u64`, `dropped: u64`, ring events (`count`, then per event `trace: u64`, `tenant: str`, `stage: u8`, `arg: u64`, `at_ns: u64`), per-tenant stage quantiles and slow-request exemplars ([`WireTenantTrace`]) |
+//! | `0x88` | `Metrics`       | ← | a [`MetricsSnapshot`] as named records: `count: u64`, then per record `name: str`, `label: str` (tenant name or empty), `kind: u8` (`0` = `u64`, `1` = `len: u64` + `u64 × len`, `2` = histogram: `len: u64` = 23, `u64 × 23` bucket counts, `count: u64`, `total_ns: u64`) and the value. An unknown name with a known kind is skipped; an unknown kind, a repeated `(name, label)` or a histogram without exactly 23 buckets is malformed. Names and rules: [`eigenmaps_serve::metrics`], section *Wire form* |
+//! | `0x89` | `Trace`         | ← | [`WireTrace`]: `written: u64`, `dropped: u64`, ring events (`count`, then per event `trace: u64`, `tenant: str`, `stage: u8`, `arg: u64`, `at_ns: u64`), then per-tenant slow-request exemplars ([`WireTenantTrace`]: `count`, then per tenant `tenant: str` and its exemplars). Stage latencies travel as histograms in `Metrics` |
 //! | `0xFF` | `Error`         | ← | `status: u8` ([`WireStatus`]), `message: str` |
 //!
 //! `str` means `len: u64` then UTF-8 bytes. Request tags occupy
@@ -98,7 +98,7 @@ use std::fmt;
 
 use eigenmaps_core::codec::{fnv1a64, CodecError, Decoder, Encoder};
 use eigenmaps_core::ThermalMap;
-use eigenmaps_serve::{HistogramSnapshot, ServeError, WireSnapshot};
+use eigenmaps_serve::{MetricsSnapshot, ServeError};
 
 /// Magic bytes opening every `EMWIRE1` record.
 pub const MAGIC: &[u8; 7] = b"EMWIRE1";
@@ -390,8 +390,8 @@ pub enum Request {
     },
     /// Fetch a metrics snapshot (including the wire gauges).
     Metrics,
-    /// Fetch a flight-recorder snapshot: the event ring, per-tenant stage
-    /// quantiles and slow-request exemplars.
+    /// Fetch a flight-recorder snapshot: the event ring and per-tenant
+    /// slow-request exemplars.
     Trace,
     /// Attach to a hydrated (checkpoint-recovered) session by its durable
     /// id, claiming it for this connection. The durable ids of recovered
@@ -458,7 +458,7 @@ pub enum Response {
         version: u32,
     },
     /// A metrics snapshot (boxed: it dwarfs every other reply variant).
-    Metrics(Box<WireMetrics>),
+    Metrics(Box<MetricsSnapshot>),
     /// A flight-recorder snapshot.
     Trace(WireTrace),
     /// The request failed (or a frame was rejected).
@@ -525,154 +525,11 @@ impl WireMap {
     }
 }
 
-/// The metrics scalars served over the wire: the headline serving
-/// counters plus the connection/wire gauges ([`WireSnapshot`]).
-/// Durations travel as nanoseconds.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WireMetrics {
-    /// Requests accepted by the serving front end.
-    pub requests: u64,
-    /// Frames across all accepted requests.
-    pub frames: u64,
-    /// Micro-batches flushed.
-    pub batches: u64,
-    /// Requests that completed with an error.
-    pub errors: u64,
-    /// Streaming session steps served.
-    pub session_steps: u64,
-    /// Streaming sessions open at snapshot time.
-    pub sessions_open: u64,
-    /// High-water mark of concurrently open sessions.
-    pub max_sessions_open: u64,
-    /// Median batch-request latency, in nanoseconds.
-    pub latency_p50_ns: u64,
-    /// 99th-percentile batch-request latency, in nanoseconds.
-    pub latency_p99_ns: u64,
-    /// Requests shed at their deadline by QoS admission control.
-    pub shed: u64,
-    /// Requests answered at degraded (truncated-basis) fidelity.
-    pub degraded: u64,
-    /// Whether the server was in brownout at snapshot time (0 or 1).
-    pub brownout: u64,
-    /// Times the server has entered brownout (false → true edges).
-    pub brownout_entries: u64,
-    /// The connection/wire gauges (including the per-reason reap
-    /// counters).
-    pub wire: WireSnapshot,
-    /// Raw batch-request latency histogram — the mergeable form of
-    /// `latency_p50_ns`/`latency_p99_ns`, bucketed over
-    /// [`eigenmaps_serve::bucket_bounds_ns`].
-    pub latency_buckets: HistogramSnapshot,
-    /// Raw session-step latency histogram, same buckets.
-    pub session_latency_buckets: HistogramSnapshot,
-}
-
-fn encode_histogram(enc: &mut Encoder, h: &HistogramSnapshot) {
-    enc.put_len(h.buckets.len());
-    for &count in &h.buckets {
-        enc.u64(count);
-    }
-    enc.u64(h.count).u64(h.total_ns);
-}
-
-fn decode_histogram(dec: &mut Decoder<'_>) -> Result<HistogramSnapshot, WireError> {
-    let n = dec.take_len()?;
-    let mut buckets = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        buckets.push(dec.u64()?);
-    }
-    Ok(HistogramSnapshot {
-        buckets,
-        count: dec.u64()?,
-        total_ns: dec.u64()?,
-    })
-}
-
-impl WireMetrics {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.u64(self.requests)
-            .u64(self.frames)
-            .u64(self.batches)
-            .u64(self.errors)
-            .u64(self.session_steps)
-            .u64(self.sessions_open)
-            .u64(self.max_sessions_open)
-            .u64(self.latency_p50_ns)
-            .u64(self.latency_p99_ns)
-            .u64(self.shed)
-            .u64(self.degraded)
-            .u64(self.brownout)
-            .u64(self.brownout_entries)
-            .u64(self.wire.connections_open)
-            .u64(self.wire.max_connections_open)
-            .u64(self.wire.frames_in)
-            .u64(self.wire.frames_out)
-            .u64(self.wire.bytes_in)
-            .u64(self.wire.bytes_out)
-            .u64(self.wire.errors_oversized)
-            .u64(self.wire.errors_corrupt)
-            .u64(self.wire.errors_malformed)
-            .u64(self.wire.errors_unknown_kind)
-            .u64(self.wire.errors_rejected)
-            .u64(self.wire.reaped_idle)
-            .u64(self.wire.reaped_slow_client)
-            .u64(self.wire.reaped_drain)
-            .u64(self.wire.checkpoints)
-            .u64(self.wire.checkpoint_sessions)
-            .u64(self.wire.hydrated_deployments)
-            .u64(self.wire.hydrated_sessions)
-            .u64(self.wire.hydration_skipped);
-        encode_histogram(enc, &self.latency_buckets);
-        encode_histogram(enc, &self.session_latency_buckets);
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(WireMetrics {
-            requests: dec.u64()?,
-            frames: dec.u64()?,
-            batches: dec.u64()?,
-            errors: dec.u64()?,
-            session_steps: dec.u64()?,
-            sessions_open: dec.u64()?,
-            max_sessions_open: dec.u64()?,
-            latency_p50_ns: dec.u64()?,
-            latency_p99_ns: dec.u64()?,
-            shed: dec.u64()?,
-            degraded: dec.u64()?,
-            brownout: dec.u64()?,
-            brownout_entries: dec.u64()?,
-            wire: WireSnapshot {
-                connections_open: dec.u64()?,
-                max_connections_open: dec.u64()?,
-                frames_in: dec.u64()?,
-                frames_out: dec.u64()?,
-                bytes_in: dec.u64()?,
-                bytes_out: dec.u64()?,
-                errors_oversized: dec.u64()?,
-                errors_corrupt: dec.u64()?,
-                errors_malformed: dec.u64()?,
-                errors_unknown_kind: dec.u64()?,
-                errors_rejected: dec.u64()?,
-                reaped_idle: dec.u64()?,
-                reaped_slow_client: dec.u64()?,
-                reaped_drain: dec.u64()?,
-                checkpoints: dec.u64()?,
-                checkpoint_sessions: dec.u64()?,
-                hydrated_deployments: dec.u64()?,
-                hydrated_sessions: dec.u64()?,
-                hydration_skipped: dec.u64()?,
-            },
-            latency_buckets: decode_histogram(dec)?,
-            session_latency_buckets: decode_histogram(dec)?,
-        })
-    }
-}
-
 /// A flight-recorder snapshot in wire form: the event ring's recent
-/// history plus per-tenant stage-latency quantiles and slow-request
-/// exemplars. Stage codes/args follow [`eigenmaps_serve::Stage`]
-/// (`code()`/`arg()`/`from_wire`); see `ARCHITECTURE.md`, section
-/// *Observability: the flight recorder*, for the taxonomy.
+/// history plus per-tenant slow-request exemplars. Stage codes/args
+/// follow [`eigenmaps_serve::Stage`] (`code()`/`arg()`/`from_wire`);
+/// see `ARCHITECTURE.md`, section *Observability: the flight
+/// recorder*, for the taxonomy.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WireTrace {
     /// Events ever written to the ring.
@@ -681,7 +538,7 @@ pub struct WireTrace {
     pub dropped: u64,
     /// The surviving ring events, oldest first.
     pub events: Vec<WireTraceEvent>,
-    /// Per-tenant stage quantiles and exemplars, sorted by tenant name.
+    /// Per-tenant exemplars, sorted by tenant name.
     pub tenants: Vec<WireTenantTrace>,
 }
 
@@ -700,23 +557,11 @@ pub struct WireTraceEvent {
     pub at_ns: u64,
 }
 
-/// One tenant's stage-latency quantiles and worst full traces.
+/// One tenant's worst full traces.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WireTenantTrace {
     /// Tenant (deployment name).
     pub tenant: String,
-    /// Median queue wait (admitted → shard-dispatched), ns.
-    pub queue_wait_p50_ns: u64,
-    /// p99 queue wait, ns.
-    pub queue_wait_p99_ns: u64,
-    /// Median execute (shard-dispatched → kernel-done), ns.
-    pub execute_p50_ns: u64,
-    /// p99 execute, ns.
-    pub execute_p99_ns: u64,
-    /// Median respond (kernel-done → responded/rejected), ns.
-    pub respond_p50_ns: u64,
-    /// p99 respond, ns.
-    pub respond_p99_ns: u64,
     /// The K worst (slowest admitted → terminal) full traces.
     pub exemplars: Vec<WireExemplar>,
 }
@@ -749,18 +594,12 @@ impl WireTrace {
         enc.put_len(self.events.len());
         for event in &self.events {
             enc.u64(event.trace);
-            encode_str(enc, &event.tenant);
+            enc.str(&event.tenant);
             enc.u8(event.stage).u64(event.arg).u64(event.at_ns);
         }
         enc.put_len(self.tenants.len());
         for tenant in &self.tenants {
-            encode_str(enc, &tenant.tenant);
-            enc.u64(tenant.queue_wait_p50_ns)
-                .u64(tenant.queue_wait_p99_ns)
-                .u64(tenant.execute_p50_ns)
-                .u64(tenant.execute_p99_ns)
-                .u64(tenant.respond_p50_ns)
-                .u64(tenant.respond_p99_ns);
+            enc.str(&tenant.tenant);
             enc.put_len(tenant.exemplars.len());
             for exemplar in &tenant.exemplars {
                 enc.u64(exemplar.trace).u64(exemplar.total_ns);
@@ -780,7 +619,7 @@ impl WireTrace {
         for _ in 0..count {
             events.push(WireTraceEvent {
                 trace: dec.u64()?,
-                tenant: decode_str(dec)?,
+                tenant: dec.str()?,
                 stage: dec.u8()?,
                 arg: dec.u64()?,
                 at_ns: dec.u64()?,
@@ -789,13 +628,7 @@ impl WireTrace {
         let count = dec.take_len()?;
         let mut tenants = Vec::with_capacity(count.min(1024));
         for _ in 0..count {
-            let tenant = decode_str(dec)?;
-            let queue_wait_p50_ns = dec.u64()?;
-            let queue_wait_p99_ns = dec.u64()?;
-            let execute_p50_ns = dec.u64()?;
-            let execute_p99_ns = dec.u64()?;
-            let respond_p50_ns = dec.u64()?;
-            let respond_p99_ns = dec.u64()?;
+            let tenant = dec.str()?;
             let exemplar_count = dec.take_len()?;
             let mut exemplars = Vec::with_capacity(exemplar_count.min(1024));
             for _ in 0..exemplar_count {
@@ -816,16 +649,7 @@ impl WireTrace {
                     stages,
                 });
             }
-            tenants.push(WireTenantTrace {
-                tenant,
-                queue_wait_p50_ns,
-                queue_wait_p99_ns,
-                execute_p50_ns,
-                execute_p99_ns,
-                respond_p50_ns,
-                respond_p99_ns,
-                exemplars,
-            });
+            tenants.push(WireTenantTrace { tenant, exemplars });
         }
         Ok(WireTrace {
             written,
@@ -834,19 +658,6 @@ impl WireTrace {
             tenants,
         })
     }
-}
-
-fn encode_str(enc: &mut Encoder, s: &str) {
-    enc.put_len(s.len());
-    enc.bytes(s.as_bytes());
-}
-
-fn decode_str(dec: &mut Decoder<'_>) -> Result<String, WireError> {
-    let len = dec.take_len()?;
-    let raw = dec.take(len)?;
-    String::from_utf8(raw.to_vec()).map_err(|_| WireError::Malformed {
-        context: "invalid UTF-8 string",
-    })
 }
 
 fn encode_blob(enc: &mut Encoder, bytes: &[u8]) {
@@ -944,7 +755,7 @@ impl Request {
         match self {
             Request::SubmitBatch { deployment, frames } => {
                 seal_frame(id, KIND_SUBMIT_BATCH, |enc| {
-                    encode_str(enc, deployment);
+                    enc.str(deployment);
                     enc.put_len(frames.len());
                     for frame in frames {
                         encode_readings(enc, frame);
@@ -952,7 +763,7 @@ impl Request {
                 })
             }
             Request::OpenSession { deployment, gain } => seal_frame(id, KIND_OPEN_SESSION, |enc| {
-                encode_str(enc, deployment);
+                enc.str(deployment);
                 enc.f64(*gain);
             }),
             Request::StepSession { session, readings } => {
@@ -972,7 +783,7 @@ impl Request {
             }),
             Request::Catalog => seal_frame(id, KIND_CATALOG, |_| {}),
             Request::Publish { name, artifact } => seal_frame(id, KIND_PUBLISH, |enc| {
-                encode_str(enc, name);
+                enc.str(name);
                 encode_blob(enc, artifact);
             }),
             Request::Metrics => seal_frame(id, KIND_METRICS, |_| {}),
@@ -1002,7 +813,7 @@ impl Request {
         let kind = dec.u8().map_err(|e| fail(e.into()))?;
         let request = match kind {
             KIND_SUBMIT_BATCH => {
-                let deployment = decode_str(&mut dec).map_err(fail)?;
+                let deployment = dec.str().map_err(|e| fail(e.into()))?;
                 let count = dec.take_len().map_err(|e| fail(e.into()))?;
                 let mut frames = Vec::new();
                 for _ in 0..count {
@@ -1011,7 +822,7 @@ impl Request {
                 Request::SubmitBatch { deployment, frames }
             }
             KIND_OPEN_SESSION => Request::OpenSession {
-                deployment: decode_str(&mut dec).map_err(fail)?,
+                deployment: dec.str().map_err(|e| fail(e.into()))?,
                 gain: dec.f64().map_err(|e| fail(e.into()))?,
             },
             KIND_STEP_SESSION => Request::StepSession {
@@ -1029,7 +840,7 @@ impl Request {
             },
             KIND_CATALOG => Request::Catalog,
             KIND_PUBLISH => Request::Publish {
-                name: decode_str(&mut dec).map_err(fail)?,
+                name: dec.str().map_err(|e| fail(e.into()))?,
                 artifact: decode_blob(&mut dec).map_err(fail)?,
             },
             KIND_METRICS => Request::Metrics,
@@ -1089,7 +900,7 @@ impl Response {
             Response::Catalog { entries } => seal_frame(id, KIND_CATALOG_REPLY, |enc| {
                 enc.put_len(entries.len());
                 for (name, versions) in entries {
-                    encode_str(enc, name);
+                    enc.str(name);
                     enc.put_len(versions.len());
                     for &v in versions {
                         enc.u32(v);
@@ -1107,7 +918,7 @@ impl Response {
             }),
             Response::Error { status, message } => seal_frame(id, KIND_ERROR, |enc| {
                 enc.u8(status.to_u8());
-                encode_str(enc, message);
+                enc.str(message);
             }),
         }
     }
@@ -1161,7 +972,7 @@ impl Response {
                 let count = dec.take_len().map_err(|e| fail(e.into()))?;
                 let mut entries = Vec::new();
                 for _ in 0..count {
-                    let name = decode_str(&mut dec).map_err(fail)?;
+                    let name = dec.str().map_err(|e| fail(e.into()))?;
                     let versions = dec.take_len().map_err(|e| fail(e.into()))?;
                     let mut vs = Vec::new();
                     for _ in 0..versions {
@@ -1174,13 +985,13 @@ impl Response {
             KIND_PUBLISHED => Response::Published {
                 version: dec.u32().map_err(|e| fail(e.into()))?,
             },
-            KIND_METRICS_REPLY => {
-                Response::Metrics(Box::new(WireMetrics::decode(&mut dec).map_err(fail)?))
-            }
+            KIND_METRICS_REPLY => Response::Metrics(Box::new(
+                MetricsSnapshot::decode(&mut dec).map_err(|e| fail(e.into()))?,
+            )),
             KIND_TRACE_REPLY => Response::Trace(WireTrace::decode(&mut dec).map_err(fail)?),
             KIND_ERROR => Response::Error {
                 status: WireStatus::from_u8(dec.u8().map_err(|e| fail(e.into()))?).map_err(fail)?,
-                message: decode_str(&mut dec).map_err(fail)?,
+                message: dec.str().map_err(|e| fail(e.into()))?,
             },
             kind => return Err(fail(WireError::UnknownKind { kind })),
         };
@@ -1315,6 +1126,28 @@ mod tests {
         roundtrip_request(Request::Attach { durable: u64::MAX });
     }
 
+    /// A metrics snapshot with every record kind populated: counters,
+    /// the brownout flag, per-shard vectors, a tenant's stage histogram,
+    /// and 23-bucket latency histograms (4, 9 and 1 request samples in
+    /// buckets 1, 2 and 4).
+    fn sample_metrics() -> MetricsSnapshot {
+        use eigenmaps_serve::{ServeMetrics, StageLatency};
+        use std::time::Duration;
+        let m = ServeMetrics::new(2);
+        for ns in [1_500, 1_500, 1_500, 1_500, 15_000]
+            .into_iter()
+            .chain([3_000; 9])
+        {
+            m.record_latency(Duration::from_nanos(ns));
+        }
+        m.record_session_latency(Duration::from_micros(40));
+        m.record_shard(1, 10);
+        m.record_stage_latency("sku-a", StageLatency::Execute, Duration::from_micros(70));
+        m.set_brownout(true);
+        m.record_checkpoint(8);
+        m.snapshot()
+    }
+
     #[test]
     fn every_response_kind_roundtrips() {
         roundtrip_response(Response::Batch {
@@ -1357,36 +1190,7 @@ mod tests {
             entries: vec![("a".into(), vec![1, 3]), ("b".into(), vec![])],
         });
         roundtrip_response(Response::Published { version: 5 });
-        roundtrip_response(Response::Metrics(Box::new(WireMetrics {
-            requests: 10,
-            shed: 3,
-            degraded: 2,
-            brownout: 1,
-            brownout_entries: 4,
-            wire: WireSnapshot {
-                frames_in: 12,
-                reaped_idle: 2,
-                reaped_slow_client: 1,
-                reaped_drain: 3,
-                checkpoints: 4,
-                checkpoint_sessions: 8,
-                hydrated_deployments: 2,
-                hydrated_sessions: 5,
-                hydration_skipped: 1,
-                ..WireSnapshot::default()
-            },
-            latency_buckets: HistogramSnapshot {
-                buckets: vec![0, 4, 9, 0, 1],
-                count: 14,
-                total_ns: 123_456,
-            },
-            session_latency_buckets: HistogramSnapshot {
-                buckets: vec![2; 23],
-                count: 46,
-                total_ns: 9_000,
-            },
-            ..WireMetrics::default()
-        })));
+        roundtrip_response(Response::Metrics(Box::new(sample_metrics())));
         roundtrip_response(Response::Trace(WireTrace {
             written: 100,
             dropped: 3,
@@ -1408,12 +1212,6 @@ mod tests {
             ],
             tenants: vec![WireTenantTrace {
                 tenant: "sku-a".into(),
-                queue_wait_p50_ns: 10,
-                queue_wait_p99_ns: 20,
-                execute_p50_ns: 30,
-                execute_p99_ns: 40,
-                respond_p50_ns: 50,
-                respond_p99_ns: 60,
                 exemplars: vec![WireExemplar {
                     trace: 7,
                     total_ns: 5_500,

@@ -495,13 +495,29 @@ fn half_closed_client_still_gets_every_reply() {
 fn metrics_snapshot_travels_the_wire() {
     let fleet = fleet();
     let server = Arc::new(Server::new(Arc::clone(&fleet.registry), 1));
-    let (addr, handle, join) = spawn_door(server);
+    let (addr, handle, join) = spawn_door(Arc::clone(&server));
 
     let mut client = Client::connect(addr).expect("connect");
     client
         .submit_batch(fleet.names[0], fleet.frames[0].clone())
         .unwrap();
     let metrics = client.metrics().expect("metrics over TCP");
+    // The reply is the whole in-process snapshot: with the one client
+    // idle, nothing but the door's own wire gauges can move between the
+    // remote read and this local one.
+    let local = server.metrics();
+    assert_eq!(metrics.tenants, local.tenants);
+    let tenant = &metrics.tenants[fleet.names[0]];
+    assert_eq!(tenant.batches, 1);
+    assert_eq!(tenant.execute.count, 1, "stage histograms travel whole");
+    assert_eq!(metrics.shard_frames, local.shard_frames);
+    assert_eq!(metrics.inline_frames, local.inline_frames);
+    assert_eq!(
+        metrics.shard_frames.iter().sum::<u64>() + metrics.inline_frames,
+        fleet.frames[0].len() as u64
+    );
+    assert_eq!(metrics.latency_buckets, local.latency_buckets);
+    assert_eq!(metrics.latency_p99, local.latency_p99);
     assert_eq!(metrics.requests, 1);
     assert_eq!(metrics.frames, fleet.frames[0].len() as u64);
     assert_eq!(metrics.wire.connections_open, 1);
@@ -817,7 +833,7 @@ fn shed_and_degraded_serving_surface_over_the_wire() {
     let metrics = client.metrics().expect("metrics over TCP");
     assert_eq!(metrics.shed, 1, "one request shed");
     assert_eq!(metrics.degraded, 1, "one request served degraded");
-    assert_eq!(metrics.brownout, 1, "still in brownout at snapshot time");
+    assert!(metrics.brownout, "still in brownout at snapshot time");
     assert!(metrics.brownout_entries >= 1);
     assert_eq!(
         metrics.requests,

@@ -29,13 +29,45 @@
 //! interpolated within it: a reported p99 of 5 ms means "99% of requests
 //! completed in at most 5 ms". Estimates are therefore conservative
 //! (never under-report) and within one 1-2-5 ladder step of the true
-//! quantile. See [`LatencyHistogram::quantile`] for the exact rule,
+//! quantile. See [`HistogramSnapshot::quantile`] for the exact rule,
 //! including the overflow clamp.
+//!
+//! # Wire form
+//!
+//! [`MetricsSnapshot`] is also the body of the `EMWIRE1` `Metrics` reply
+//! (kind `0x88`), encoded by [`MetricsSnapshot::encode`] as
+//! self-describing named records: `count: u64`, then per record
+//! `name: str`, `label: str` (the tenant name for `tenant.*` records,
+//! empty otherwise), `kind: u8` and the value. `str` is `len: u64` plus
+//! UTF-8 bytes.
+//!
+//! | kind | value |
+//! |------|-------|
+//! | `0`  | `u64` (a counter, a gauge, or `brownout` as 0/1) |
+//! | `1`  | `len: u64`, `u64 × len` (`shard_frames`, `shard_batches`) |
+//! | `2`  | histogram: `len: u64` (always 23), `u64 × len` bucket counts, `count: u64`, `total_ns: u64` |
+//!
+//! Record names come from one name table per snapshot struct: a
+//! [`MetricsSnapshot`] field travels under its own name, a
+//! [`WireSnapshot`] field as `wire.<field>` and a [`TenantSnapshot`]
+//! field as `tenant.<field>`, once per tenant. The wire and tenant
+//! tables are generated together with their structs, live counters and
+//! snapshot folds from one field list each. The derived `latency_*`
+//! durations are not sent; [`MetricsSnapshot::decode`] recomputes them
+//! from the decoded histograms, so a decoded snapshot `==` the one that
+//! was encoded. The decoder skips a record with an unknown name but a
+//! known kind (as it does a known unlabelled name carrying a label), and
+//! leaves a field whose record is absent at zero. It rejects an unknown
+//! kind byte, a repeated `(name, label)`, a histogram whose bucket count
+//! is not 23, and a known name carrying the wrong kind (or a `brownout`
+//! above 1).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Duration;
+
+use eigenmaps_core::codec::{CodecError, CodecResult, Decoder, Encoder};
 
 /// Upper bounds (nanoseconds) of the latency histogram buckets — a 1-2-5
 /// log ladder from 1 µs to 10 s. Latencies above the last bound land in a
@@ -75,17 +107,6 @@ pub fn bucket_bounds_ns() -> &'static [u64] {
     &BUCKET_BOUNDS_NS
 }
 
-/// Round-to-nearest mean of `total_ns` over `count` samples
-/// ([`Duration::ZERO`] when empty). Widening to `u128` keeps the
-/// half-count rounding bias from overflowing near `u64::MAX` totals.
-fn mean_rounded(total_ns: u64, count: u64) -> Duration {
-    if count == 0 {
-        return Duration::ZERO;
-    }
-    let rounded = (u128::from(total_ns) + u128::from(count) / 2) / u128::from(count);
-    Duration::from_nanos(rounded as u64)
-}
-
 /// A point-in-time copy of one [`LatencyHistogram`]'s raw state: the
 /// per-bucket counts (aligned with [`bucket_bounds_ns`], plus one final
 /// overflow bucket), the sample count and the summed nanoseconds.
@@ -93,8 +114,9 @@ fn mean_rounded(total_ns: u64, count: u64) -> Duration {
 /// This is what external scrapers should aggregate — derived quantiles
 /// (`latency_p50` / `latency_p99` in [`MetricsSnapshot`]) resolve to
 /// bucket upper bounds and cannot be merged across processes, while raw
-/// bucket counts can.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// bucket counts can. The default is an empty histogram on the fixed
+/// ladder (all 23 buckets zero).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket sample counts: `buckets[i]` counts samples at or below
     /// `bucket_bounds_ns()[i]`; the final element counts overflow.
@@ -105,28 +127,54 @@ pub struct HistogramSnapshot {
     pub total_ns: u64,
 }
 
+impl Default for HistogramSnapshot {
+    fn default() -> Self {
+        HistogramSnapshot {
+            buckets: vec![0; BUCKET_BOUNDS_NS.len() + 1],
+            count: 0,
+            total_ns: 0,
+        }
+    }
+}
+
 impl HistogramSnapshot {
     /// Mean recorded latency, rounded to the nearest nanosecond
-    /// ([`Duration::ZERO`] when empty).
+    /// ([`Duration::ZERO`] when empty). Widening to `u128` keeps the
+    /// half-count rounding bias from overflowing near `u64::MAX` totals.
     pub fn mean(&self) -> Duration {
-        mean_rounded(self.total_ns, self.count)
+        if self.count == 0 {
+            return Duration::ZERO;
+        }
+        let (total, count) = (u128::from(self.total_ns), u128::from(self.count));
+        Duration::from_nanos(((total + count / 2) / count) as u64)
     }
 
-    /// The `q`-quantile under the same bucket-upper-bound rule as
-    /// [`LatencyHistogram::quantile`]; [`Duration::ZERO`] when empty or
-    /// when `q` is NaN.
+    /// The `q`-quantile (`0 < q ≤ 1`) as the upper bound of the bucket
+    /// containing it; [`Duration::ZERO`] when empty. Values in the
+    /// overflow bucket report the last bound (10 s).
+    ///
+    /// The rank is `ceil(q · count)` over the cumulative bucket counts
+    /// (so `q = 0.5` with two samples resolves to the first), and the
+    /// result is always one of the fixed bucket edges — no within-bucket
+    /// interpolation; see the [module docs](self) for why. Quantiles are
+    /// monotone in `q` and never below any recorded sample's bucket.
+    /// A NaN `q` is a caller bug, not a rank: it reports
+    /// [`Duration::ZERO`] explicitly instead of silently resolving to the
+    /// minimum bucket as `NaN.clamp(..).ceil() as u64` would.
     pub fn quantile(&self, q: f64) -> Duration {
         if q.is_nan() {
             return Duration::ZERO;
         }
-        let total: u64 = self.buckets.iter().sum();
+        // Summed in u128: counts decoded from a peer may be anything, and
+        // 23 of them at u64::MAX must not overflow.
+        let total: u128 = self.buckets.iter().map(|&b| u128::from(b)).sum();
         if total == 0 {
             return Duration::ZERO;
         }
-        let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut cumulative = 0u64;
+        let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u128).max(1);
+        let mut cumulative = 0u128;
         for (i, &bucket) in self.buckets.iter().enumerate() {
-            cumulative += bucket;
+            cumulative += u128::from(bucket);
             if cumulative >= target {
                 let bound = BUCKET_BOUNDS_NS
                     .get(i)
@@ -139,14 +187,13 @@ impl HistogramSnapshot {
     }
 }
 
-/// Fixed-bucket latency histogram with lock-free recording.
+/// Fixed-bucket latency histogram with lock-free recording. Read it
+/// through [`LatencyHistogram::snapshot`]; the statistics live on
+/// [`HistogramSnapshot`].
 ///
-/// Quantile estimates are upper bounds of the containing bucket: for
-/// samples within the bucket ladder they are conservative (never
-/// under-report) and within one 1-2-5 step of the true quantile. Samples
-/// beyond the last bound land in an overflow bucket and are clamped to
-/// the 10 s bound — a serving latency that far out is an outage, not a
-/// percentile to resolve.
+/// Samples beyond the last bound land in an overflow bucket, which
+/// quantiles clamp to the 10 s bound — a serving latency that far out is
+/// an outage, not a percentile to resolve.
 #[derive(Debug)]
 pub struct LatencyHistogram {
     buckets: [AtomicU64; BUCKET_BOUNDS_NS.len() + 1],
@@ -179,53 +226,6 @@ impl LatencyHistogram {
         self.total_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
-    /// Samples recorded so far.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Mean recorded latency, rounded to the nearest nanosecond
-    /// ([`Duration::ZERO`] when empty).
-    pub fn mean(&self) -> Duration {
-        mean_rounded(self.total_ns.load(Ordering::Relaxed), self.count())
-    }
-
-    /// The `q`-quantile (`0 < q ≤ 1`) as the upper bound of the bucket
-    /// containing it; [`Duration::ZERO`] when empty. Values in the
-    /// overflow bucket report the last bound (10 s).
-    ///
-    /// The rank is `ceil(q · count)` over the cumulative bucket counts
-    /// (so `q = 0.5` with two samples resolves to the first), and the
-    /// result is always one of the fixed bucket edges — no within-bucket
-    /// interpolation; see the [module docs](self) for why. Quantiles are
-    /// monotone in `q` and never below any recorded sample's bucket.
-    /// A NaN `q` is a caller bug, not a rank: it reports
-    /// [`Duration::ZERO`] explicitly (identically in
-    /// [`HistogramSnapshot::quantile`]) instead of silently resolving to
-    /// the minimum bucket as `NaN.clamp(..).ceil() as u64` used to.
-    pub fn quantile(&self, q: f64) -> Duration {
-        if q.is_nan() {
-            return Duration::ZERO;
-        }
-        let total: u64 = self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum();
-        if total == 0 {
-            return Duration::ZERO;
-        }
-        let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut cumulative = 0u64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            cumulative += bucket.load(Ordering::Relaxed);
-            if cumulative >= target {
-                let bound = BUCKET_BOUNDS_NS
-                    .get(i)
-                    .copied()
-                    .unwrap_or(BUCKET_BOUNDS_NS[BUCKET_BOUNDS_NS.len() - 1]);
-                return Duration::from_nanos(bound);
-            }
-        }
-        Duration::from_nanos(BUCKET_BOUNDS_NS[BUCKET_BOUNDS_NS.len() - 1])
-    }
-
     /// A point-in-time copy of the raw bucket counts, sample count and
     /// summed nanoseconds — the mergeable form external scrapers want.
     pub fn snapshot(&self) -> HistogramSnapshot {
@@ -255,43 +255,101 @@ pub enum StageLatency {
     Respond,
 }
 
-/// Per-tenant batching counters and queue-depth gauge, keyed by
-/// deployment name. Recorded by the front end (enqueue) and the batcher
-/// (flush); the scheduler's fairness and batch-size behavior is observable
-/// here without scraping logs.
-#[derive(Debug, Default)]
-struct TenantCounters {
-    /// Micro-batches flushed for this tenant.
-    batches: AtomicU64,
-    /// Requests across all flushed batches.
-    batch_requests: AtomicU64,
-    /// Frames across all flushed batches.
-    batch_frames: AtomicU64,
-    /// Requests currently pending in the tenant's queue (gauge).
-    queue_depth: AtomicU64,
-    /// High-water mark of `queue_depth`.
-    max_queue_depth: AtomicU64,
-    /// Streaming session steps served against this tenant's deployments.
-    session_steps: AtomicU64,
-    /// Requests shed for blowing their deadline (overrun action `Shed`).
-    shed_requests: AtomicU64,
-    /// Frames across all shed requests.
-    shed_frames: AtomicU64,
-    /// Micro-batches served degraded (truncated reconstruction).
-    degraded_batches: AtomicU64,
-    /// Requests across all degraded micro-batches.
-    degraded_requests: AtomicU64,
-    /// Stage attribution from the flight recorder: admission → dispatch.
-    queue_wait: LatencyHistogram,
-    /// Stage attribution: dispatch → kernel done.
-    execute: LatencyHistogram,
-    /// Stage attribution: kernel done → response delivered.
-    respond: LatencyHistogram,
+/// Builds a name table from field names grouped by [`Field`] variant;
+/// each record is named `prefix` + the field name.
+macro_rules! table {
+    ($prefix:literal; $($kind:ident: $($field:ident),*;)+) => {
+        &[$($((
+            concat!($prefix, stringify!($field)),
+            Field::$kind(|s| &s.$field, |s| &mut s.$field),
+        ),)*)+]
+    };
+}
+
+/// Declares a family of metrics from one field list: the live block that
+/// `record_*` sites bump (an `AtomicU64` per counter, a
+/// [`LatencyHistogram`] per histogram), its plain snapshot struct, the
+/// `snapshot()` fold between them and the snapshot's name table. A new
+/// metric in a family is one entry in its list plus its `record_*` site.
+macro_rules! metric_family {
+    (
+        $(#[$meta:meta])*
+        pub struct $snap:ident, live $live:ident, table $table:ident = $prefix:literal {
+            counters { $($(#[$cdoc:meta])* $counter:ident,)* }
+            histograms { $($(#[$hdoc:meta])* $hist:ident,)* }
+        }
+    ) => {
+        #[derive(Debug, Default)]
+        struct $live {
+            $($counter: AtomicU64,)*
+            $($hist: LatencyHistogram,)*
+        }
+
+        $(#[$meta])*
+        pub struct $snap {
+            $($(#[$cdoc])* pub $counter: u64,)*
+            $($(#[$hdoc])* pub $hist: HistogramSnapshot,)*
+        }
+
+        impl $live {
+            fn snapshot(&self) -> $snap {
+                $snap {
+                    $($counter: self.$counter.load(Ordering::Relaxed),)*
+                    $($hist: self.$hist.snapshot(),)*
+                }
+            }
+        }
+
+        const $table: &Table<$snap> = table!($prefix; U64: $($counter),*; Histogram: $($hist),*;);
+    };
+}
+
+metric_family! {
+    /// A point-in-time copy of one tenant's batching counters, keyed by
+    /// deployment name. Recorded by the front end (enqueue) and the
+    /// batcher (flush); the scheduler's fairness and batch-size behavior
+    /// is observable here without scraping logs. Its records travel as
+    /// `tenant.<field>`, labelled with the tenant name.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct TenantSnapshot, live TenantCounters, table TENANT_TABLE = "tenant." {
+        counters {
+            /// Micro-batches flushed for this tenant.
+            batches,
+            /// Requests across all flushed batches.
+            batch_requests,
+            /// Frames across all flushed batches.
+            batch_frames,
+            /// Requests pending in the tenant's queue when the snapshot was taken.
+            queue_depth,
+            /// High-water mark of the pending-queue depth.
+            max_queue_depth,
+            /// Streaming session steps served against this tenant's deployments.
+            session_steps,
+            /// Requests shed for blowing their deadline (each completed with the
+            /// retryable [`crate::ServeError::DeadlineShed`]).
+            shed_requests,
+            /// Frames across all shed requests.
+            shed_frames,
+            /// Micro-batches served degraded (truncated reconstruction).
+            degraded_batches,
+            /// Requests across all degraded micro-batches.
+            degraded_requests,
+        }
+        histograms {
+            /// Raw bucket counts of the admission→dispatch stage latency (from
+            /// the flight recorder; empty histogram without one).
+            queue_wait,
+            /// Raw bucket counts of the dispatch→kernel-done stage latency.
+            execute,
+            /// Raw bucket counts of the kernel-done→responded stage latency.
+            respond,
+        }
+    }
 }
 
 /// Kind tag for one recorded wire-level error — how a network front door
-/// classified a frame or request it had to reject. Indexes the fixed
-/// per-kind counters behind [`WireSnapshot`].
+/// classified a frame or request it had to reject. Each kind has its own
+/// counter in [`WireSnapshot`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireErrorKind {
     /// A frame's length prefix exceeded the transport's max-frame-size
@@ -325,37 +383,62 @@ pub enum ReapReason {
     Drain,
 }
 
-/// Connection/wire gauges recorded by a network front door (see the
-/// `eigenmaps-net` crate): connection gauge with high-water mark, frames
-/// decoded/encoded, raw bytes in/out and per-kind error counters.
-#[derive(Debug, Default)]
-struct WireCounters {
-    /// Connections currently open (gauge).
-    connections_open: AtomicU64,
-    /// High-water mark of `connections_open`.
-    max_connections_open: AtomicU64,
-    /// Wire frames successfully decoded from clients.
-    frames_in: AtomicU64,
-    /// Wire frames encoded and queued toward clients.
-    frames_out: AtomicU64,
-    /// Raw bytes read off sockets.
-    bytes_in: AtomicU64,
-    /// Raw bytes written to sockets.
-    bytes_out: AtomicU64,
-    /// Error counters indexed by [`WireErrorKind`] discriminant order.
-    errors: [AtomicU64; 5],
-    /// Reap counters indexed by [`ReapReason`] discriminant order.
-    reaps: [AtomicU64; 3],
-    /// Durability checkpoints committed to the snapshot store.
-    checkpoints: AtomicU64,
-    /// Session snapshots referenced across committed checkpoints.
-    checkpoint_sessions: AtomicU64,
-    /// Deployments republished from the persisted catalog at hydration.
-    hydrated_deployments: AtomicU64,
-    /// Sessions rehydrated from the snapshot store at hydration.
-    hydrated_sessions: AtomicU64,
-    /// Corrupt/torn/mismatched store entries skipped during hydration.
-    hydration_skipped: AtomicU64,
+metric_family! {
+    /// A point-in-time copy of the connection/wire gauges a network front
+    /// door records into [`ServeMetrics`] (see the `eigenmaps-net` crate),
+    /// plus the snapshot store's durability counters. All zero for a
+    /// server that has no network edge attached. Its records travel as
+    /// `wire.<field>`.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct WireSnapshot, live WireCounters, table WIRE_TABLE = "wire." {
+        counters {
+            /// Connections open when the snapshot was taken.
+            connections_open,
+            /// High-water mark of concurrently open connections.
+            max_connections_open,
+            /// Wire frames successfully decoded from clients.
+            frames_in,
+            /// Wire frames encoded toward clients.
+            frames_out,
+            /// Raw bytes read off sockets.
+            bytes_in,
+            /// Raw bytes written to sockets.
+            bytes_out,
+            /// Frames skipped because their length prefix exceeded the max-frame
+            /// bound ([`WireErrorKind::Oversized`]).
+            errors_oversized,
+            /// Frames that failed integrity validation
+            /// ([`WireErrorKind::Corrupt`]).
+            errors_corrupt,
+            /// Frames whose body failed to decode ([`WireErrorKind::Malformed`]).
+            errors_malformed,
+            /// Frames carrying an unhandled message kind
+            /// ([`WireErrorKind::UnknownKind`]).
+            errors_unknown_kind,
+            /// Well-formed requests refused with a typed error status
+            /// ([`WireErrorKind::Rejected`]).
+            errors_rejected,
+            /// Connections reaped for inactivity ([`ReapReason::Idle`]).
+            reaped_idle,
+            /// Connections reaped because they stopped reading while responses
+            /// backed up ([`ReapReason::SlowClient`]).
+            reaped_slow_client,
+            /// Connections closed during shutdown drain ([`ReapReason::Drain`]).
+            reaped_drain,
+            /// Durability checkpoints committed to the snapshot store.
+            checkpoints,
+            /// Session snapshots referenced across committed checkpoints.
+            checkpoint_sessions,
+            /// Deployments republished from the persisted catalog at hydration.
+            hydrated_deployments,
+            /// Sessions rehydrated from the snapshot store at hydration.
+            hydrated_sessions,
+            /// Corrupt/torn/mismatched store entries skipped (and survived)
+            /// during hydration.
+            hydration_skipped,
+        }
+        histograms {}
+    }
 }
 
 /// Counter hub shared by the front end, the execution engine and any
@@ -465,25 +548,25 @@ impl ServeMetrics {
 
     /// Records one wire-level error of `kind`.
     pub fn record_wire_error(&self, kind: WireErrorKind) {
-        let idx = match kind {
-            WireErrorKind::Oversized => 0,
-            WireErrorKind::Corrupt => 1,
-            WireErrorKind::Malformed => 2,
-            WireErrorKind::UnknownKind => 3,
-            WireErrorKind::Rejected => 4,
+        let counter = match kind {
+            WireErrorKind::Oversized => &self.wire.errors_oversized,
+            WireErrorKind::Corrupt => &self.wire.errors_corrupt,
+            WireErrorKind::Malformed => &self.wire.errors_malformed,
+            WireErrorKind::UnknownKind => &self.wire.errors_unknown_kind,
+            WireErrorKind::Rejected => &self.wire.errors_rejected,
         };
-        self.wire.errors[idx].fetch_add(1, Ordering::Relaxed);
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one connection reaped by a network front door for
     /// `reason`.
     pub fn record_reap(&self, reason: ReapReason) {
-        let idx = match reason {
-            ReapReason::Idle => 0,
-            ReapReason::SlowClient => 1,
-            ReapReason::Drain => 2,
+        let counter = match reason {
+            ReapReason::Idle => &self.wire.reaped_idle,
+            ReapReason::SlowClient => &self.wire.reaped_slow_client,
+            ReapReason::Drain => &self.wire.reaped_drain,
         };
-        self.wire.reaps[idx].fetch_add(1, Ordering::Relaxed);
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one committed durability checkpoint covering `sessions`
@@ -720,11 +803,6 @@ impl ServeMetrics {
         self.session_latency.record(latency);
     }
 
-    /// The session-step latency histogram (e.g. for custom quantiles).
-    pub fn session_latency(&self) -> &LatencyHistogram {
-        &self.session_latency
-    }
-
     /// Records one request's queue-to-response latency.
     pub fn record_latency(&self, latency: Duration) {
         self.latency.record(latency);
@@ -750,14 +828,12 @@ impl ServeMetrics {
         self.inline_batches.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The latency histogram (e.g. for custom quantiles).
-    pub fn latency(&self) -> &LatencyHistogram {
-        &self.latency
-    }
-
-    /// Folds all counters into a plain snapshot.
+    /// Folds all counters into a plain snapshot. The derived `latency_*`
+    /// figures come from the very histograms copied into it, so
+    /// `latency_p99 == latency_buckets.quantile(0.99)` even while other
+    /// threads keep recording.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
+        let mut snap = MetricsSnapshot {
             requests: self.requests.load(Ordering::Relaxed),
             frames: self.frames.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
@@ -769,11 +845,6 @@ impl ServeMetrics {
             session_steps: self.session_steps.load(Ordering::Relaxed),
             sessions_open: self.sessions_open.load(Ordering::Relaxed),
             max_sessions_open: self.max_sessions_open.load(Ordering::Relaxed),
-            latency_mean: self.latency.mean(),
-            latency_p50: self.latency.quantile(0.50),
-            latency_p99: self.latency.quantile(0.99),
-            session_latency_p50: self.session_latency.quantile(0.50),
-            session_latency_p99: self.session_latency.quantile(0.99),
             latency_buckets: self.latency.snapshot(),
             session_latency_buckets: self.session_latency.snapshot(),
             shard_frames: self
@@ -793,101 +864,14 @@ impl ServeMetrics {
                 .read()
                 .expect("tenant metrics lock poisoned")
                 .iter()
-                .map(|(name, t)| {
-                    (
-                        name.clone(),
-                        TenantSnapshot {
-                            batches: t.batches.load(Ordering::Relaxed),
-                            batch_requests: t.batch_requests.load(Ordering::Relaxed),
-                            batch_frames: t.batch_frames.load(Ordering::Relaxed),
-                            queue_depth: t.queue_depth.load(Ordering::Relaxed),
-                            max_queue_depth: t.max_queue_depth.load(Ordering::Relaxed),
-                            session_steps: t.session_steps.load(Ordering::Relaxed),
-                            shed_requests: t.shed_requests.load(Ordering::Relaxed),
-                            shed_frames: t.shed_frames.load(Ordering::Relaxed),
-                            degraded_batches: t.degraded_batches.load(Ordering::Relaxed),
-                            degraded_requests: t.degraded_requests.load(Ordering::Relaxed),
-                            queue_wait: t.queue_wait.snapshot(),
-                            execute: t.execute.snapshot(),
-                            respond: t.respond.snapshot(),
-                        },
-                    )
-                })
+                .map(|(name, t)| (name.clone(), t.snapshot()))
                 .collect(),
-            wire: WireSnapshot {
-                connections_open: self.wire.connections_open.load(Ordering::Relaxed),
-                max_connections_open: self.wire.max_connections_open.load(Ordering::Relaxed),
-                frames_in: self.wire.frames_in.load(Ordering::Relaxed),
-                frames_out: self.wire.frames_out.load(Ordering::Relaxed),
-                bytes_in: self.wire.bytes_in.load(Ordering::Relaxed),
-                bytes_out: self.wire.bytes_out.load(Ordering::Relaxed),
-                errors_oversized: self.wire.errors[0].load(Ordering::Relaxed),
-                errors_corrupt: self.wire.errors[1].load(Ordering::Relaxed),
-                errors_malformed: self.wire.errors[2].load(Ordering::Relaxed),
-                errors_unknown_kind: self.wire.errors[3].load(Ordering::Relaxed),
-                errors_rejected: self.wire.errors[4].load(Ordering::Relaxed),
-                reaped_idle: self.wire.reaps[0].load(Ordering::Relaxed),
-                reaped_slow_client: self.wire.reaps[1].load(Ordering::Relaxed),
-                reaped_drain: self.wire.reaps[2].load(Ordering::Relaxed),
-                checkpoints: self.wire.checkpoints.load(Ordering::Relaxed),
-                checkpoint_sessions: self.wire.checkpoint_sessions.load(Ordering::Relaxed),
-                hydrated_deployments: self.wire.hydrated_deployments.load(Ordering::Relaxed),
-                hydrated_sessions: self.wire.hydrated_sessions.load(Ordering::Relaxed),
-                hydration_skipped: self.wire.hydration_skipped.load(Ordering::Relaxed),
-            },
-        }
+            wire: self.wire.snapshot(),
+            ..MetricsSnapshot::default()
+        };
+        snap.derive_latencies();
+        snap
     }
-}
-
-/// A point-in-time copy of the connection/wire gauges a network front
-/// door records into [`ServeMetrics`]. All zero for a server that has no
-/// network edge attached.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WireSnapshot {
-    /// Connections open when the snapshot was taken.
-    pub connections_open: u64,
-    /// High-water mark of concurrently open connections.
-    pub max_connections_open: u64,
-    /// Wire frames successfully decoded from clients.
-    pub frames_in: u64,
-    /// Wire frames encoded toward clients.
-    pub frames_out: u64,
-    /// Raw bytes read off sockets.
-    pub bytes_in: u64,
-    /// Raw bytes written to sockets.
-    pub bytes_out: u64,
-    /// Frames skipped because their length prefix exceeded the max-frame
-    /// bound ([`WireErrorKind::Oversized`]).
-    pub errors_oversized: u64,
-    /// Frames that failed integrity validation
-    /// ([`WireErrorKind::Corrupt`]).
-    pub errors_corrupt: u64,
-    /// Frames whose body failed to decode ([`WireErrorKind::Malformed`]).
-    pub errors_malformed: u64,
-    /// Frames carrying an unhandled message kind
-    /// ([`WireErrorKind::UnknownKind`]).
-    pub errors_unknown_kind: u64,
-    /// Well-formed requests refused with a typed error status
-    /// ([`WireErrorKind::Rejected`]).
-    pub errors_rejected: u64,
-    /// Connections reaped for inactivity ([`ReapReason::Idle`]).
-    pub reaped_idle: u64,
-    /// Connections reaped because they stopped reading while responses
-    /// backed up ([`ReapReason::SlowClient`]).
-    pub reaped_slow_client: u64,
-    /// Connections closed during shutdown drain ([`ReapReason::Drain`]).
-    pub reaped_drain: u64,
-    /// Durability checkpoints committed to the snapshot store.
-    pub checkpoints: u64,
-    /// Session snapshots referenced across committed checkpoints.
-    pub checkpoint_sessions: u64,
-    /// Deployments republished from the persisted catalog at hydration.
-    pub hydrated_deployments: u64,
-    /// Sessions rehydrated from the snapshot store at hydration.
-    pub hydrated_sessions: u64,
-    /// Corrupt/torn/mismatched store entries skipped (and survived)
-    /// during hydration.
-    pub hydration_skipped: u64,
 }
 
 impl WireSnapshot {
@@ -904,39 +888,6 @@ impl WireSnapshot {
     pub fn reaped_total(&self) -> u64 {
         self.reaped_idle + self.reaped_slow_client + self.reaped_drain
     }
-}
-
-/// A point-in-time copy of one tenant's batching counters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TenantSnapshot {
-    /// Micro-batches flushed for this tenant.
-    pub batches: u64,
-    /// Requests across all flushed batches.
-    pub batch_requests: u64,
-    /// Frames across all flushed batches.
-    pub batch_frames: u64,
-    /// Requests pending in the tenant's queue when the snapshot was taken.
-    pub queue_depth: u64,
-    /// High-water mark of the pending-queue depth.
-    pub max_queue_depth: u64,
-    /// Streaming session steps served against this tenant's deployments.
-    pub session_steps: u64,
-    /// Requests shed for blowing their deadline (each completed with the
-    /// retryable [`crate::ServeError::DeadlineShed`]).
-    pub shed_requests: u64,
-    /// Frames across all shed requests.
-    pub shed_frames: u64,
-    /// Micro-batches served degraded (truncated reconstruction).
-    pub degraded_batches: u64,
-    /// Requests across all degraded micro-batches.
-    pub degraded_requests: u64,
-    /// Raw bucket counts of the admission→dispatch stage latency (from
-    /// the flight recorder; empty histogram without one).
-    pub queue_wait: HistogramSnapshot,
-    /// Raw bucket counts of the dispatch→kernel-done stage latency.
-    pub execute: HistogramSnapshot,
-    /// Raw bucket counts of the kernel-done→responded stage latency.
-    pub respond: HistogramSnapshot,
 }
 
 impl TenantSnapshot {
@@ -959,8 +910,11 @@ impl TenantSnapshot {
     }
 }
 
-/// A point-in-time copy of [`ServeMetrics`].
-#[derive(Debug, Clone, PartialEq)]
+/// A point-in-time copy of [`ServeMetrics`] — the in-process report and,
+/// through [`MetricsSnapshot::encode`], the `EMWIRE1` `Metrics` reply
+/// (see the [module docs](self#wire-form)). The default is the snapshot
+/// of a fresh, shardless [`ServeMetrics`].
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Requests accepted by the front end.
     pub requests: u64,
@@ -1027,7 +981,9 @@ impl MetricsSnapshot {
     /// Each shard's share of all executed frames (empty when no frames
     /// have been executed) — the shard-utilization figure.
     pub fn shard_utilization(&self) -> Vec<f64> {
-        let total: u64 = self.shard_frames.iter().sum();
+        // Summed in u128, like the histograms: a decoded snapshot's
+        // counters may be anything.
+        let total: u128 = self.shard_frames.iter().map(|&f| u128::from(f)).sum();
         if total == 0 {
             return vec![0.0; self.shard_frames.len()];
         }
@@ -1036,6 +992,178 @@ impl MetricsSnapshot {
             .map(|&f| f as f64 / total as f64)
             .collect()
     }
+
+    /// Sets the `latency_*` figures from `latency_buckets` and
+    /// `session_latency_buckets`.
+    fn derive_latencies(&mut self) {
+        self.latency_mean = self.latency_buckets.mean();
+        self.latency_p50 = self.latency_buckets.quantile(0.50);
+        self.latency_p99 = self.latency_buckets.quantile(0.99);
+        self.session_latency_p50 = self.session_latency_buckets.quantile(0.50);
+        self.session_latency_p99 = self.session_latency_buckets.quantile(0.99);
+    }
+
+    /// Appends the snapshot as named records — the `EMWIRE1` `Metrics`
+    /// reply body (layout in the [module docs](self#wire-form)).
+    pub fn encode(&self, enc: &mut Encoder) {
+        enc.put_len(
+            METRICS_TABLE.len() + WIRE_TABLE.len() + self.tenants.len() * TENANT_TABLE.len(),
+        );
+        encode_records(enc, METRICS_TABLE, self, "");
+        encode_records(enc, WIRE_TABLE, &self.wire, "");
+        for (name, tenant) in &self.tenants {
+            encode_records(enc, TENANT_TABLE, tenant, name);
+        }
+    }
+
+    /// Reads a snapshot written by [`MetricsSnapshot::encode`], or by a
+    /// peer whose tables differ (unknown records are skipped, absent ones
+    /// read as zero). The caller checks for trailing bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError`] on truncation and on every rejection rule in the
+    /// [module docs](self#wire-form).
+    pub fn decode(dec: &mut Decoder<'_>) -> CodecResult<MetricsSnapshot> {
+        let mut snap = MetricsSnapshot::default();
+        let mut seen = HashSet::new();
+        for _ in 0..dec.take_len()? {
+            let (name, label) = (dec.str()?, dec.str()?);
+            let value = Value::decode(dec)?;
+            if !seen.insert((name.clone(), label.clone())) {
+                return Err(malformed("repeated metrics record"));
+            }
+            if let Some(field) = find(TENANT_TABLE, &name) {
+                value.store(field, snap.tenants.entry(label).or_default())?;
+            } else if !label.is_empty() {
+                // No other metric is labelled: an unknown pair, skipped.
+            } else if let Some(field) = find(METRICS_TABLE, &name) {
+                value.store(field, &mut snap)?;
+            } else if let Some(field) = find(WIRE_TABLE, &name) {
+                value.store(field, &mut snap.wire)?;
+            }
+        }
+        snap.derive_latencies();
+        Ok(snap)
+    }
+}
+
+/// Record kind: one `u64`.
+const KIND_U64: u8 = 0;
+/// Record kind: `len: u64`, then `u64 × len`.
+const KIND_U64_VEC: u8 = 1;
+/// Record kind: a histogram on the fixed bucket ladder.
+const KIND_HISTOGRAM: u8 = 2;
+
+/// One snapshot field in a name table: its record kind plus a read and a
+/// write accessor.
+enum Field<T> {
+    /// A counter or gauge (kind 0).
+    U64(fn(&T) -> &u64, fn(&mut T) -> &mut u64),
+    /// A boolean gauge, sent as a kind-0 `u64` 0 or 1.
+    Flag(fn(&T) -> &bool, fn(&mut T) -> &mut bool),
+    /// Per-shard counters (kind 1).
+    U64Vec(fn(&T) -> &Vec<u64>, fn(&mut T) -> &mut Vec<u64>),
+    /// A latency histogram (kind 2).
+    Histogram(
+        fn(&T) -> &HistogramSnapshot,
+        fn(&mut T) -> &mut HistogramSnapshot,
+    ),
+}
+
+/// A name table: `(record name, field)` for every wire-carried field of
+/// one snapshot struct. The encoder, the decoder and the tests all read
+/// it. `metric_family!` generates the tenant and wire tables from their
+/// field lists; [`MetricsSnapshot`]'s is written out below.
+type Table<T> = [(&'static str, Field<T>)];
+
+/// [`MetricsSnapshot`]'s own records. The `latency_*` durations are
+/// derived, not sent.
+const METRICS_TABLE: &Table<MetricsSnapshot> = table!("";
+    U64: requests, frames, batches, errors, shed, degraded, brownout_entries, session_steps,
+        sessions_open, max_sessions_open, inline_frames, inline_batches;
+    Flag: brownout;
+    U64Vec: shard_frames, shard_batches;
+    Histogram: latency_buckets, session_latency_buckets;
+);
+
+fn encode_records<T>(enc: &mut Encoder, table: &Table<T>, snap: &T, label: &str) {
+    for (name, field) in table {
+        enc.str(name).str(label);
+        match field {
+            Field::U64(get, _) => enc.u8(KIND_U64).u64(*get(snap)),
+            Field::Flag(get, _) => enc.u8(KIND_U64).u64(u64::from(*get(snap))),
+            Field::U64Vec(get, _) => put_u64s(enc.u8(KIND_U64_VEC), get(snap)),
+            Field::Histogram(get, _) => {
+                let h = get(snap);
+                put_u64s(enc.u8(KIND_HISTOGRAM), &h.buckets)
+                    .u64(h.count)
+                    .u64(h.total_ns)
+            }
+        };
+    }
+}
+
+/// One record's value, read before its name is looked up.
+enum Value {
+    U64(u64),
+    U64Vec(Vec<u64>),
+    Histogram(HistogramSnapshot),
+}
+
+impl Value {
+    fn decode(dec: &mut Decoder<'_>) -> CodecResult<Value> {
+        Ok(match dec.u8()? {
+            KIND_U64 => Value::U64(dec.u64()?),
+            KIND_U64_VEC => Value::U64Vec(take_u64s(dec)?),
+            KIND_HISTOGRAM => {
+                let buckets = take_u64s(dec)?;
+                if buckets.len() != BUCKET_BOUNDS_NS.len() + 1 {
+                    return Err(malformed("histogram off the fixed bucket ladder"));
+                }
+                Value::Histogram(HistogramSnapshot {
+                    buckets,
+                    count: dec.u64()?,
+                    total_ns: dec.u64()?,
+                })
+            }
+            _ => return Err(malformed("unknown metrics record kind")),
+        })
+    }
+
+    fn store<T>(self, field: &Field<T>, into: &mut T) -> CodecResult<()> {
+        match (field, self) {
+            (Field::U64(_, set), Value::U64(v)) => *set(into) = v,
+            (Field::Flag(_, set), Value::U64(v @ (0 | 1))) => *set(into) = v == 1,
+            (Field::U64Vec(_, set), Value::U64Vec(v)) => *set(into) = v,
+            (Field::Histogram(_, set), Value::Histogram(h)) => *set(into) = h,
+            _ => return Err(malformed("metrics record disagrees with its name")),
+        }
+        Ok(())
+    }
+}
+
+fn find<'t, T>(table: &'t Table<T>, name: &str) -> Option<&'t Field<T>> {
+    table
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, field)| field)
+}
+
+fn malformed(context: &'static str) -> CodecError {
+    CodecError { context }
+}
+
+fn put_u64s<'e>(enc: &'e mut Encoder, values: &[u64]) -> &'e mut Encoder {
+    values
+        .iter()
+        .fold(enc.put_len(values.len()), |enc, &v| enc.u64(v))
+}
+
+/// Reads `len: u64` then that many `u64`s. The vector grows only as
+/// values are read, so a hostile `len` fails at the end of the input.
+fn take_u64s(dec: &mut Decoder<'_>) -> CodecResult<Vec<u64>> {
+    (0..dec.take_len()?).map(|_| dec.u64()).collect()
 }
 
 #[cfg(test)]
@@ -1045,52 +1173,46 @@ mod tests {
     #[test]
     fn histogram_quantiles_bracket_samples() {
         let h = LatencyHistogram::new();
-        assert_eq!(h.quantile(0.5), Duration::ZERO);
+        assert_eq!(h.snapshot().quantile(0.5), Duration::ZERO);
         for us in [3u64, 30, 300, 3_000] {
             h.record(Duration::from_micros(us));
         }
-        assert_eq!(h.count(), 4);
+        let snap = h.snapshot();
+        assert_eq!(snap.count, 4);
         // p50 falls in the 2nd sample's bucket (30 µs → 50 µs bound).
-        assert_eq!(h.quantile(0.5), Duration::from_micros(50));
+        assert_eq!(snap.quantile(0.5), Duration::from_micros(50));
         // p99 falls in the last sample's bucket (3 ms → 5 ms bound).
-        assert_eq!(h.quantile(0.99), Duration::from_millis(5));
+        assert_eq!(snap.quantile(0.99), Duration::from_millis(5));
         // Quantiles are monotone in q.
-        assert!(h.quantile(0.25) <= h.quantile(0.75));
-        assert!(h.mean() > Duration::ZERO);
+        assert!(snap.quantile(0.25) <= snap.quantile(0.75));
+        assert!(snap.mean() > Duration::ZERO);
     }
 
     #[test]
-    fn nan_quantile_is_zero_in_both_impls() {
+    fn nan_quantile_is_zero() {
         let h = LatencyHistogram::new();
         for us in [3u64, 30, 300] {
             h.record(Duration::from_micros(us));
         }
-        // A NaN rank is a caller bug: both the live histogram and its
-        // snapshot report Duration::ZERO instead of silently resolving
-        // to the minimum bucket.
-        assert_eq!(h.quantile(f64::NAN), Duration::ZERO);
-        assert_eq!(h.snapshot().quantile(f64::NAN), Duration::ZERO);
+        // A NaN rank is a caller bug: it reports Duration::ZERO instead
+        // of silently resolving to the minimum bucket.
+        let snap = h.snapshot();
+        assert_eq!(snap.quantile(f64::NAN), Duration::ZERO);
         // Infinities still clamp to the [0, 1] rank range as before.
-        assert_eq!(h.quantile(f64::INFINITY), h.quantile(1.0));
-        assert_eq!(h.quantile(f64::NEG_INFINITY), h.quantile(0.0));
-        assert_eq!(
-            h.snapshot().quantile(f64::INFINITY),
-            h.snapshot().quantile(1.0)
-        );
+        assert_eq!(snap.quantile(f64::INFINITY), snap.quantile(1.0));
+        assert_eq!(snap.quantile(f64::NEG_INFINITY), snap.quantile(0.0));
     }
 
     #[test]
-    fn mean_rounds_to_nearest_in_both_impls() {
+    fn mean_rounds_to_nearest() {
         let h = LatencyHistogram::new();
         h.record(Duration::from_nanos(1));
         h.record(Duration::from_nanos(2));
         // 3 ns over 2 samples is 1.5 ns: round to 2 ns, not truncate to 1.
-        assert_eq!(h.mean(), Duration::from_nanos(2));
         assert_eq!(h.snapshot().mean(), Duration::from_nanos(2));
         // Exact halves round up; below-half fractions round down.
         h.record(Duration::from_nanos(1));
         // 4 ns over 3 samples = 1.33 ns → 1 ns.
-        assert_eq!(h.mean(), Duration::from_nanos(1));
         assert_eq!(h.snapshot().mean(), Duration::from_nanos(1));
     }
 
@@ -1098,7 +1220,7 @@ mod tests {
     fn histogram_overflow_bucket_reports_last_bound() {
         let h = LatencyHistogram::new();
         h.record(Duration::from_secs(100));
-        assert_eq!(h.quantile(1.0), Duration::from_secs(10));
+        assert_eq!(h.snapshot().quantile(1.0), Duration::from_secs(10));
     }
 
     #[test]
@@ -1128,6 +1250,9 @@ mod tests {
         assert!((util[0] - 0.75).abs() < 1e-12);
         assert!((util.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert_eq!(s.latency_p50, Duration::from_micros(50));
+        // The derived figures come from the histogram copied alongside.
+        assert_eq!(s.latency_p99, s.latency_buckets.quantile(0.99));
+        assert_eq!(s.latency_mean, s.latency_buckets.mean());
     }
 
     #[test]
@@ -1266,10 +1391,6 @@ mod tests {
                 .count() as u64;
             assert_eq!(snap.buckets[i], expected, "bucket {i}");
         }
-        // Derived figures agree between the live histogram and the copy.
-        assert_eq!(snap.quantile(0.5), h.quantile(0.5));
-        assert_eq!(snap.quantile(0.99), h.quantile(0.99));
-        assert_eq!(snap.mean(), h.mean());
         // An overflow sample lands in the final bucket of the copy too.
         h.record(Duration::from_secs(100));
         let snap = h.snapshot();
@@ -1352,5 +1473,119 @@ mod tests {
             m.record_session_closed();
         }
         assert_eq!(m.snapshot().sessions_open, 0);
+    }
+
+    /// Every value a table entry reads, in table order (`brownout` as
+    /// 0/1, vectors and histograms element by element).
+    fn reach<T>(table: &Table<T>, snap: &T, out: &mut Vec<u64>) {
+        for (_, field) in table {
+            match field {
+                Field::U64(get, _) => out.push(*get(snap)),
+                Field::Flag(get, _) => out.push(u64::from(*get(snap))),
+                Field::U64Vec(get, _) => out.extend(get(snap)),
+                Field::Histogram(get, _) => {
+                    let h = get(snap);
+                    out.extend(&h.buckets);
+                    out.extend([h.count, h.total_ns]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_snapshot_field_is_reachable_through_its_name_table() {
+        // Exhaustive literals, no `..Default`: a new field does not
+        // compile here until it gets a value, and the value must then
+        // travel through a table entry. Counters count up from 2; the
+        // one flag, `brownout`, reads as 1.
+        let mut next = 1u64;
+        let mut v = || {
+            next += 1;
+            next
+        };
+        let hist = |v: &mut dyn FnMut() -> u64| HistogramSnapshot {
+            buckets: (0..=BUCKET_BOUNDS_NS.len()).map(|_| v()).collect(),
+            count: v(),
+            total_ns: v(),
+        };
+        let wire = WireSnapshot {
+            connections_open: v(),
+            max_connections_open: v(),
+            frames_in: v(),
+            frames_out: v(),
+            bytes_in: v(),
+            bytes_out: v(),
+            errors_oversized: v(),
+            errors_corrupt: v(),
+            errors_malformed: v(),
+            errors_unknown_kind: v(),
+            errors_rejected: v(),
+            reaped_idle: v(),
+            reaped_slow_client: v(),
+            reaped_drain: v(),
+            checkpoints: v(),
+            checkpoint_sessions: v(),
+            hydrated_deployments: v(),
+            hydrated_sessions: v(),
+            hydration_skipped: v(),
+        };
+        let tenant = TenantSnapshot {
+            batches: v(),
+            batch_requests: v(),
+            batch_frames: v(),
+            queue_depth: v(),
+            max_queue_depth: v(),
+            session_steps: v(),
+            shed_requests: v(),
+            shed_frames: v(),
+            degraded_batches: v(),
+            degraded_requests: v(),
+            queue_wait: hist(&mut v),
+            execute: hist(&mut v),
+            respond: hist(&mut v),
+        };
+        let mut snap = MetricsSnapshot {
+            requests: v(),
+            frames: v(),
+            batches: v(),
+            errors: v(),
+            shed: v(),
+            degraded: v(),
+            brownout: true,
+            brownout_entries: v(),
+            session_steps: v(),
+            sessions_open: v(),
+            max_sessions_open: v(),
+            latency_mean: Duration::ZERO,
+            latency_p50: Duration::ZERO,
+            latency_p99: Duration::ZERO,
+            session_latency_p50: Duration::ZERO,
+            session_latency_p99: Duration::ZERO,
+            latency_buckets: hist(&mut v),
+            session_latency_buckets: hist(&mut v),
+            shard_frames: vec![v(), v(), v()],
+            shard_batches: vec![v(), v(), v()],
+            inline_frames: v(),
+            inline_batches: v(),
+            tenants: BTreeMap::from([("alpha".to_string(), tenant)]),
+            wire,
+        };
+        snap.derive_latencies();
+
+        let mut reached = Vec::new();
+        reach(METRICS_TABLE, &snap, &mut reached);
+        reach(WIRE_TABLE, &snap.wire, &mut reached);
+        reach(TENANT_TABLE, &snap.tenants["alpha"], &mut reached);
+        reached.sort_unstable();
+        assert_eq!(reached, (1..=next).collect::<Vec<_>>());
+
+        // And the whole snapshot, derived durations included, survives
+        // the record codec.
+        let mut enc = Encoder::with_capacity(0);
+        snap.encode(&mut enc);
+        let bytes = enc.finish();
+        let mut dec = Decoder::new(&bytes);
+        assert_eq!(MetricsSnapshot::decode(&mut dec).unwrap(), snap);
+        dec.finish().unwrap();
     }
 }

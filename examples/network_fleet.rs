@@ -167,9 +167,23 @@ fn main() -> AnyResult<()> {
         wire_metrics.wire.errors_total()
     );
 
-    // ---- the flight recorder, read over the same socket ------------------
-    // Per-tenant stage breakdowns (queue-wait vs execute vs respond) and
-    // the slowest full trace, straight from the server's event ring.
+    // ---- stage latencies and the flight recorder, over the same socket ---
+    // The metrics reply carries each tenant's stage histograms whole
+    // (queue-wait vs execute vs respond); the trace reply carries the
+    // slowest full traces, straight from the server's event ring.
+    let us = |d: std::time::Duration| d.as_micros();
+    for (name, tenant) in &wire_metrics.tenants {
+        println!(
+            "[stage] {name}: queue-wait p50 {}µs / p99 {}µs, execute p50 {}µs / p99 {}µs, \
+             respond p50 {}µs / p99 {}µs",
+            us(tenant.queue_wait.quantile(0.5)),
+            us(tenant.queue_wait.quantile(0.99)),
+            us(tenant.execute.quantile(0.5)),
+            us(tenant.execute.quantile(0.99)),
+            us(tenant.respond.quantile(0.5)),
+            us(tenant.respond.quantile(0.99)),
+        );
+    }
     let trace = client.trace()?;
     println!(
         "[trace] ring: {} events written, {} dropped, {} resident",
@@ -178,17 +192,6 @@ fn main() -> AnyResult<()> {
         trace.events.len()
     );
     for tenant in &trace.tenants {
-        println!(
-            "[trace] {}: queue-wait p50 {}µs / p99 {}µs, execute p50 {}µs / p99 {}µs, \
-             respond p50 {}µs / p99 {}µs",
-            tenant.tenant,
-            tenant.queue_wait_p50_ns / 1_000,
-            tenant.queue_wait_p99_ns / 1_000,
-            tenant.execute_p50_ns / 1_000,
-            tenant.execute_p99_ns / 1_000,
-            tenant.respond_p50_ns / 1_000,
-            tenant.respond_p99_ns / 1_000,
-        );
         if let Some(worst) = tenant.exemplars.first() {
             let timeline: Vec<String> = worst
                 .stages

@@ -1005,3 +1005,282 @@ proptest! {
         prop_assert_eq!(recovered, survivors);
     }
 }
+
+// ---------------------------------------------------------------------------
+// EMWIRE1 Metrics replies: the whole `MetricsSnapshot` travels as named
+// records — it roundtrips exactly, truncation and corruption are refused,
+// and a record this build does not know is skipped without disturbing the
+// rest.
+// ---------------------------------------------------------------------------
+
+/// An arbitrary metrics snapshot: 0–4 tenants, 0–8 shards, random
+/// counters and 23-bucket histograms. The derived latency figures are
+/// set from the histograms, as every snapshot's are.
+fn metrics_snapshot_strategy() -> impl Strategy<Value = eigenmaps::serve::MetricsSnapshot> {
+    use eigenmaps::serve::{
+        bucket_bounds_ns, HistogramSnapshot, MetricsSnapshot, TenantSnapshot, WireSnapshot,
+    };
+    use rand::rngs::StdRng;
+    (0usize..5, 0usize..9, 0u64..1_000_000).prop_map(|(tenants, shards, seed)| {
+        use rand::{Rng, SeedableRng};
+        let rng = &mut StdRng::seed_from_u64(seed);
+        // Bucket counts are small or anywhere in u64, so quantiles both
+        // spread over the ladder and meet sums past u64::MAX.
+        let hist = |rng: &mut StdRng| HistogramSnapshot {
+            buckets: (0..=bucket_bounds_ns().len())
+                .map(|_| {
+                    if rng.gen_bool(0.5) {
+                        rng.next_u64()
+                    } else {
+                        rng.gen_range(0..1_000u64)
+                    }
+                })
+                .collect(),
+            count: rng.next_u64(),
+            total_ns: rng.next_u64(),
+        };
+        let tenants = (0..tenants)
+            .map(|t| {
+                let tenant = TenantSnapshot {
+                    batches: rng.next_u64(),
+                    batch_requests: rng.next_u64(),
+                    batch_frames: rng.next_u64(),
+                    queue_depth: rng.next_u64(),
+                    max_queue_depth: rng.next_u64(),
+                    session_steps: rng.next_u64(),
+                    shed_requests: rng.next_u64(),
+                    shed_frames: rng.next_u64(),
+                    degraded_batches: rng.next_u64(),
+                    degraded_requests: rng.next_u64(),
+                    queue_wait: hist(rng),
+                    execute: hist(rng),
+                    respond: hist(rng),
+                };
+                // Tenant names include the empty string and non-ASCII.
+                (["", "sku-a", "ßku-b", "sku-c"][t].to_string(), tenant)
+            })
+            .collect();
+        let wire = WireSnapshot {
+            connections_open: rng.next_u64(),
+            max_connections_open: rng.next_u64(),
+            frames_in: rng.next_u64(),
+            frames_out: rng.next_u64(),
+            bytes_in: rng.next_u64(),
+            bytes_out: rng.next_u64(),
+            errors_oversized: rng.next_u64(),
+            errors_corrupt: rng.next_u64(),
+            errors_malformed: rng.next_u64(),
+            errors_unknown_kind: rng.next_u64(),
+            errors_rejected: rng.next_u64(),
+            reaped_idle: rng.next_u64(),
+            reaped_slow_client: rng.next_u64(),
+            reaped_drain: rng.next_u64(),
+            checkpoints: rng.next_u64(),
+            checkpoint_sessions: rng.next_u64(),
+            hydrated_deployments: rng.next_u64(),
+            hydrated_sessions: rng.next_u64(),
+            hydration_skipped: rng.next_u64(),
+        };
+        let latency_buckets = hist(rng);
+        let session_latency_buckets = hist(rng);
+        MetricsSnapshot {
+            requests: rng.next_u64(),
+            frames: rng.next_u64(),
+            batches: rng.next_u64(),
+            errors: rng.next_u64(),
+            shed: rng.next_u64(),
+            degraded: rng.next_u64(),
+            brownout: rng.gen_bool(0.5),
+            brownout_entries: rng.next_u64(),
+            session_steps: rng.next_u64(),
+            sessions_open: rng.next_u64(),
+            max_sessions_open: rng.next_u64(),
+            latency_mean: latency_buckets.mean(),
+            latency_p50: latency_buckets.quantile(0.50),
+            latency_p99: latency_buckets.quantile(0.99),
+            session_latency_p50: session_latency_buckets.quantile(0.50),
+            session_latency_p99: session_latency_buckets.quantile(0.99),
+            latency_buckets,
+            session_latency_buckets,
+            shard_frames: (0..shards).map(|_| rng.next_u64()).collect(),
+            shard_batches: (0..shards).map(|_| rng.next_u64()).collect(),
+            inline_frames: rng.next_u64(),
+            inline_batches: rng.next_u64(),
+            tenants,
+            wire,
+        }
+    })
+}
+
+/// Seals `body` as the record (length prefix stripped) of an `EMWIRE1`
+/// `Metrics` reply (kind `0x88`) under correlation id `id`.
+fn metrics_reply_record(id: u64, body: &[u8]) -> Vec<u8> {
+    use eigenmaps::core::codec::{fnv1a64, Encoder};
+    use eigenmaps::net::protocol::{MAGIC, VERSION};
+    let mut enc = Encoder::with_capacity(0);
+    enc.bytes(MAGIC).u32(VERSION).u64(id).u8(0x88).bytes(body);
+    let mut record = enc.finish();
+    let checksum = fnv1a64(&record);
+    record.extend_from_slice(&checksum.to_le_bytes());
+    record
+}
+
+/// One metrics record: `name`, `label`, `kind` and its raw value words.
+fn metrics_record(name: &str, label: &str, kind: u8, words: &[u64]) -> Vec<u8> {
+    let mut enc = eigenmaps::core::codec::Encoder::with_capacity(0);
+    enc.str(name).str(label).u8(kind);
+    for &w in words {
+        enc.u64(w);
+    }
+    enc.finish()
+}
+
+/// `snapshot`'s records with `extra` put in front of them, the record
+/// count raised by one.
+fn metrics_body_with(snapshot: &eigenmaps::serve::MetricsSnapshot, extra: &[u8]) -> Vec<u8> {
+    let mut enc = eigenmaps::core::codec::Encoder::with_capacity(0);
+    snapshot.encode(&mut enc);
+    let body = enc.finish();
+    let count = u64::from_le_bytes(body[..8].try_into().unwrap());
+    let mut out = (count + 1).to_le_bytes().to_vec();
+    out.extend_from_slice(extra);
+    out.extend_from_slice(&body[8..]);
+    out
+}
+
+/// A histogram record's value words: `len`, then `len` bucket counts,
+/// `count` and `total_ns`.
+fn histogram_words(len: u64) -> Vec<u64> {
+    let mut words = vec![len];
+    words.extend(0..len);
+    words.extend([len * (len.max(1) - 1) / 2, 99]);
+    words
+}
+
+#[test]
+fn emwire1_metrics_reply_with_no_records_is_the_zero_snapshot() {
+    use eigenmaps::net::Response;
+    use eigenmaps::serve::MetricsSnapshot;
+    // Records absent from the body read as zero: an empty body is the
+    // snapshot of a fresh, shardless server.
+    let (id, got) = Response::decode(&metrics_reply_record(4, &0u64.to_le_bytes())).unwrap();
+    assert_eq!(id, 4);
+    assert_eq!(got, Response::Metrics(Box::default()));
+    assert_eq!(
+        MetricsSnapshot::default().latency_buckets.buckets,
+        vec![0; 23]
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn emwire1_metrics_replies_roundtrip_and_reject_damage(
+        snapshot in metrics_snapshot_strategy(),
+        pos_frac in 0.0f64..1.0,
+        flip in 1u8..=255,
+        unknown in 0u64..1_000_000,
+    ) {
+        use eigenmaps::core::codec::{Decoder, Encoder};
+        use eigenmaps::net::Response;
+        let reply = Response::Metrics(Box::new(snapshot.clone()));
+        let frame = reply.encode(21).expect("encodes");
+        let record = &frame[4..];
+        let (id, got) = Response::decode(record).expect("roundtrip decodes");
+        prop_assert_eq!(id, 21);
+        prop_assert_eq!(&got, &reply);
+        // Figures derived from any decoded counters stay defined.
+        let utilization = snapshot.shard_utilization();
+        let share: f64 = utilization.iter().sum();
+        prop_assert!(utilization.is_empty() || (share - 1.0).abs() < 1e-9 || share == 0.0);
+
+        // Every strict prefix is refused, at the frame and in the body.
+        for cut in 0..record.len() {
+            prop_assert!(Response::decode(&record[..cut]).is_err(), "frame prefix {}", cut);
+        }
+        let mut enc = Encoder::with_capacity(0);
+        snapshot.encode(&mut enc);
+        let body = enc.finish();
+        for cut in 0..body.len() {
+            let mut dec = Decoder::new(&body[..cut]);
+            let decoded = eigenmaps::serve::MetricsSnapshot::decode(&mut dec);
+            prop_assert!(decoded.is_err() || dec.finish().is_err(), "body prefix {}", cut);
+        }
+
+        // Any single-byte corruption is refused.
+        let pos = ((record.len() as f64 * pos_frac) as usize).min(record.len() - 1);
+        let mut bad = record.to_vec();
+        bad[pos] ^= flip;
+        prop_assert!(Response::decode(&bad).is_err());
+
+        // A record this build does not know — an unknown name of any
+        // known kind, or an unlabelled name carrying a label — injected
+        // ahead of the rest is skipped: everything else decodes equal.
+        let (name, label) = match unknown % 4 {
+            0 => ("future.residual_rms", ""),
+            1 => ("future.residual_rms", "sku-a"),
+            2 => ("tenant.future_outliers", "sku-a"),
+            _ => ("frames", "sku-a"),
+        };
+        let extra = match unknown % 3 {
+            0 => metrics_record(name, label, 0, &[unknown]),
+            1 => metrics_record(name, label, 1, &[3, 1, 2, unknown]),
+            _ => metrics_record(name, label, 2, &histogram_words(23)),
+        };
+        let injected = metrics_reply_record(21, &metrics_body_with(&snapshot, &extra));
+        let (id, got) = Response::decode(&injected).expect("unknown record skipped");
+        prop_assert_eq!(id, 21);
+        prop_assert_eq!(got, reply);
+    }
+
+    #[test]
+    fn emwire1_metrics_bad_records_are_malformed(
+        case in 0u32..5,
+        buckets in 0u64..64,
+        kind in 3u8..=255,
+    ) {
+        use eigenmaps::net::{Response, WireError};
+        // Each body holds only the records under test, so no other rule
+        // can be what refuses it.
+        let bad = match case {
+            // A histogram off the fixed 23-bucket ladder, known name or
+            // not: its quantiles would resolve against the wrong edges.
+            0 => {
+                let buckets = if buckets == 23 { 5 } else { buckets };
+                let (name, label) =
+                    [("latency_buckets", ""), ("tenant.execute", "t"), ("future.residual", "")]
+                        [kind as usize % 3];
+                vec![metrics_record(name, label, 2, &histogram_words(buckets))]
+            }
+            // An unknown kind byte: the record's length is unknowable.
+            1 => vec![metrics_record("future.gauge", "", kind, &[1])],
+            // A repeated (name, label).
+            2 => vec![metrics_record("requests", "", 0, &[1]); 2],
+            // A known name carrying the wrong kind.
+            3 => vec![metrics_record("shard_frames", "", 0, &[1])],
+            // The brownout flag above 1.
+            _ => vec![metrics_record("brownout", "", 0, &[2 + u64::from(kind)])],
+        };
+        let mut body = (bad.len() as u64).to_le_bytes().to_vec();
+        body.extend(bad.concat());
+        let failure = Response::decode(&metrics_reply_record(8, &body)).unwrap_err();
+        prop_assert_eq!(failure.id, Some(8));
+        prop_assert!(
+            matches!(failure.error, WireError::Malformed { .. }),
+            "case {}: {:?}",
+            case,
+            failure.error
+        );
+        // The same records, each well-formed, decode.
+        let good = [
+            metrics_record("latency_buckets", "", 2, &histogram_words(23)),
+            metrics_record("future.gauge", "", 0, &[1]),
+            metrics_record("shard_frames", "", 1, &[1, 7]),
+            metrics_record("brownout", "", 0, &[1]),
+        ];
+        let mut body = (good.len() as u64).to_le_bytes().to_vec();
+        body.extend(good.concat());
+        prop_assert!(Response::decode(&metrics_reply_record(8, &body)).is_ok());
+    }
+}
